@@ -16,7 +16,7 @@ import tempfile
 from fractions import Fraction
 
 from .coeffring import ParseError, PoleError, Polynomial, rf
-from .kernel import SPECIALIZATIONS, kernel, specialize_kernel
+from .kernel import SPECIALIZATIONS, kernel
 from .kostka_algebra import nabla, qt_catalan, structure_coefficient
 from .linalg import SingularSystem
 from .macdonald import MacdonaldTable, build_table, norm_product, register_table
@@ -275,10 +275,8 @@ def _cmd_kernel(args, emit):
     for d in range(1, args.n + 1):
         if args.cache_dir:
             load_or_build(d, args.cache_dir)
-    K = kernel(args.n, args.genus, args.points)
-    if args.specialize:
-        point = SPECIALIZATIONS[args.specialize]()
-        K = specialize_kernel(K, *point)
+    point = SPECIALIZATIONS[args.specialize]() if args.specialize else None
+    K = kernel(args.n, args.genus, args.points, point)
     doc = _symfunc_doc(K)
     doc.update({"degree": args.n, "genus": args.genus, "points": args.points})
     if args.json:

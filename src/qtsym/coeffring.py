@@ -399,24 +399,65 @@ class Polynomial:
         )
 
     def eval_poly(self, assignment):
-        """Substitute a subset of variables by Polynomial values."""
+        """Simultaneously substitute a subset of variables by Polynomial values.
+
+        Every value must be zero, a constant or a single term a*m with m a
+        monomial (a renaming, a power, a scaled monomial); a value with
+        several terms raises ValueError. Such values only move exponents
+        and scale coefficients, so each term of self maps to one term of
+        the result. RationalFunction.specialize sends values with several
+        terms to its general path.
+        """
         relevant = {v: p for v, p in assignment.items() if v in self.vars}
         if not relevant:
             return self
-        keep = [i for i, v in enumerate(self.vars) if v not in relevant]
-        keep_vars = tuple(self.vars[i] for i in keep)
-        out = Polynomial.const(0)
-        powers = {v: {0: Polynomial.const(1)} for v in relevant}
+        names = {v for v in self.vars if v not in relevant}
+        subs = {}
+        for v, p in relevant.items():
+            if len(p.terms) > 1:
+                raise ValueError("eval_poly value for %s has several terms: %s" % (v, p))
+            if p.terms:
+                (e, a), = p.terms.items()
+                subs[v] = (a, [(name, x) for name, x in zip(p.vars, e) if x])
+                names.update(name for name, _ in subs[v][1])
+        out_vars = tuple(sorted(names, key=_var_key))
+        pos = {name: j for j, name in enumerate(out_vars)}
+        # per input position: None kills every term using it, an int is the
+        # output position of a kept variable, a pair is (scale, [(position, exp)])
+        actions = []
+        for v in self.vars:
+            if v not in relevant:
+                actions.append(pos[v])
+            elif v in subs:
+                a, mono = subs[v]
+                actions.append((a, [(pos[name], x) for name, x in mono]))
+            else:
+                actions.append(None)
+        width = len(out_vars)
+        out = {}
         for e, c in self.terms.items():
-            mono = Polynomial._raw(keep_vars, {tuple(e[i] for i in keep): c})
-            for i, v in enumerate(self.vars):
-                if v in relevant and e[i]:
-                    cache = powers[v]
-                    if e[i] not in cache:
-                        cache[e[i]] = relevant[v] ** e[i]
-                    mono = mono * cache[e[i]]
-            out = out + mono
-        return out
+            full = [0] * width
+            for act, ex in zip(actions, e):
+                if not ex:
+                    continue
+                if act is None:
+                    break
+                if type(act) is int:
+                    full[act] += ex
+                    continue
+                a, mono = act
+                if a != 1:
+                    c = c * a**ex
+                for j, x in mono:
+                    full[j] += x * ex
+            else:
+                key = tuple(full)
+                s = out.get(key, 0) + c
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return Polynomial._raw(out_vars, {e: _normc(c) for e, c in out.items()})
 
     def eval_fraction(self, assignment):
         """Evaluate fully at Fraction values (all variables must be assigned)."""
@@ -1051,6 +1092,9 @@ class RationalFunction:
     def specialize(self, assignment):
         """Substitute indeterminates by RationalFunction or Polynomial values.
 
+        When every value is zero, a constant or a single term, numerator
+        and denominator go through Polynomial.eval_poly; any other value
+        takes the general path through rational arithmetic.
         Raises PoleError when the reduced denominator vanishes.
         """
         assign = {}
@@ -1063,7 +1107,7 @@ class RationalFunction:
                 )
             else:
                 raise TypeError("bad substitution value for %s" % name)
-        if all(v.is_polynomial() for v in assign.values()):
+        if all(v.is_polynomial() and len(v.num.terms) <= 1 for v in assign.values()):
             polys = {k: v.num for k, v in assign.items()}
             num = self.num.eval_poly(polys)
             den = self.den.eval_poly(polys)

@@ -15,6 +15,8 @@ The degree-n kernel is (Z-1)(1-W) times the degree-n component of the
 plethystic logarithm of the series. Specializing a single hook term is
 unsound (they have poles that only cancel in the logarithm), so
 specialization always happens after full assembly and reduction.
+A specialized kernel is cached beside the bivariate one, keyed by its
+point, so each (n, genus, points, point) is specialized once.
 """
 
 from __future__ import annotations
@@ -126,12 +128,20 @@ def log_cauchy_series(genus, points, cap):
 _KERNEL = {}
 
 
-def kernel(n, genus, points):
-    """Degree-n kernel: (Z-1)(1-W) times the degree-n Log component."""
-    key = (n, genus, points)
+def kernel(n, genus, points, point=None):
+    """Degree-n kernel: (Z-1)(1-W) times the degree-n Log component.
+
+    With point a (Z, W, eps) tuple, as accepted by specialize_kernel, the
+    kernel specialized there. Both are computed once per
+    (n, genus, points, point) and kept until clear_kernel_caches().
+    """
+    key = (n, genus, points, point)
     if key not in _KERNEL:
-        comp = log_cauchy_series(genus, points, n).component(n)
-        _KERNEL[key] = comp * rf((_Z - 1) * (1 - _W))
+        if point is None:
+            comp = log_cauchy_series(genus, points, n).component(n)
+            _KERNEL[key] = comp * rf((_Z - 1) * (1 - _W))
+        else:
+            _KERNEL[key] = specialize_kernel(kernel(n, genus, points), *point)
     return _KERNEL[key]
 
 

@@ -44,16 +44,25 @@ _C_CACHE = {}
 
 
 def structure_coefficients_all(factors, table=None):
-    """dict target -> c^target_factors for one tuple of factors (memoized)."""
+    """dict target -> c^target_factors for one tuple of factors.
+
+    Memoized for the registered tables only: a result computed from a
+    caller's table is neither cached nor served from the cache.
+    """
     factors = tuple(sorted(Partition(m) for m in factors))
     if not factors:
         raise ValueError("need at least one factor")
     n = factors[0].size
     if any(m.size != n for m in factors):
         raise ValueError("all factors must have equal size")
-    if factors in _C_CACHE:
-        return _C_CACHE[factors]
-    table = table or build_table(n)
+    if table is not None:
+        return _structure_coefficients(factors, table)
+    if factors not in _C_CACHE:
+        _C_CACHE[factors] = _structure_coefficients(factors, build_table(n))
+    return _C_CACHE[factors]
+
+
+def _structure_coefficients(factors, table):
     products = {}
     for eta in table.partitions:
         term = rf(1)
@@ -68,7 +77,6 @@ def structure_coefficients_all(factors, table=None):
             if not (entry.is_zero() or products[eta].is_zero()):
                 acc = acc + entry * products[eta]
         out[target] = acc
-    _C_CACHE[factors] = out
     return out
 
 

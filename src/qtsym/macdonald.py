@@ -303,15 +303,30 @@ def build_table(n):
 
 
 def register_table(table):
-    """Install a table built elsewhere (cache reload) after sanity checks."""
+    """Install a table built elsewhere (cache reload) after sanity checks.
+
+    Drops everything derived from the previous tables.
+    """
     n = table.n
     if table.partitions != partitions_of(n):
         raise ValueError("table partition order is not canonical")
     _TABLES[n] = table
+    _clear_derived()
 
 
 def clear_tables():
+    """Drop the tables and everything derived from them."""
     _TABLES.clear()
+    _clear_derived()
+
+
+def _clear_derived():
+    # local imports: both modules import this one
+    from .kernel import clear_kernel_caches
+    from .kostka_algebra import _C_CACHE
+
+    _C_CACHE.clear()
+    clear_kernel_caches()
 
 
 def norm_product(lam):

@@ -18,7 +18,8 @@ The evaluators pair test symmetric functions against the degree-n kernel:
 For the trace/log/mixed/q1 family the v^d against t^{-d/2} prefactors
 cancel, so the dimension never enters; specialization happens after the
 pairing when the point can be singular (Z=1) and before when it is cheap
-(Z=0).
+(Z=0). The Z=0 routes read the specialized kernel from the kernel cache,
+so each degree, genus, puncture count and point is specialized once.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def _as_polynomial_in(value, varname, error=NegativeCoefficient):
 def poincare(spec):
     """Poincare polynomial (compactly supported intersection cohomology)."""
     n = spec.rank
-    K = specialize_kernel(kernel(n, spec.genus, spec.points), *poincare_point())
+    K = kernel(n, spec.genus, spec.points, poincare_point())
     val = hall_scalar(schur_test_function(spec), K)
     d = total_dim(spec)
     if val.is_zero():
@@ -262,7 +263,7 @@ def twisted_poincare(spec, twist):
     cohomology, through the kernel pairing."""
     n = spec.rank
     r, T = twisted_test_function(spec, twist)
-    K = specialize_kernel(kernel(n, spec.genus, spec.points), *poincare_point())
+    K = kernel(n, spec.genus, spec.points, poincare_point())
     val = hall_scalar(T, K)
     d = total_dim(spec)
     sign = -1 if r % 2 else 1
@@ -309,7 +310,7 @@ def c_from_trace(mu, nu):
     as a polynomial in t."""
     n = Partition(mu).size
     T = _column_test_function(mu, nu)
-    K = specialize_kernel(kernel(n, 0, 4), rf(0), rf(_T), rf(0))
+    K = kernel(n, 0, 4, (rf(0), rf(_T), rf(0)))
     val = hall_scalar(T, K)
     if (n - 1) % 2:
         val = -val

@@ -37,10 +37,8 @@ def _run(number):
 def test_criterion_01_paper_values():
     # runtime budget includes the degree-4 table build
     from qtsym.macdonald import clear_tables
-    from qtsym.kostka_algebra import _C_CACHE
 
     clear_tables()
-    _C_CACHE.clear()
     _run(1)
 
 

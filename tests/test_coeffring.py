@@ -172,3 +172,115 @@ def test_rational_function_parse_round_trip():
     ]
     for r in samples:
         assert RationalFunction.parse(str(r)) == r
+
+
+_NAMES = ["q", "t", "v", "Z", "W"]
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def _naive_eval(p, assignment):
+    """Reference substitution: multiply out every term and add."""
+    out = Polynomial.const(0)
+    for e, c in p.terms.items():
+        term = Polynomial.const(c)
+        for name, x in zip(p.vars, e):
+            term = term * assignment.get(name, Polynomial.var(name)) ** x
+        out = out + term
+    return out
+
+
+def _monomial(coeff, exps):
+    out = Polynomial.const(coeff)
+    for name, x in exps.items():
+        out = out * Polynomial.var(name, x)
+    return out
+
+
+@st.composite
+def _sparse_polys(draw, names):
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 4) for _ in names]), _fractions, max_size=6
+        )
+    )
+    return Polynomial(tuple(names), terms)
+
+
+@st.composite
+def _eval_cases(draw):
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=3, unique=True))
+    p = draw(_sparse_polys(names))
+    substituted = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    assignment = {}
+    for name in substituted:
+        kind = draw(st.sampled_from(["zero", "const", "term"]))
+        if kind == "zero":
+            assignment[name] = Polynomial.const(0)
+        elif kind == "const":
+            assignment[name] = Polynomial.const(draw(_fractions.filter(bool)))
+        else:
+            exps = draw(st.dictionaries(st.sampled_from(_NAMES), st.integers(1, 3), max_size=2))
+            assignment[name] = _monomial(draw(_fractions.filter(bool)), exps)
+    return p, assignment
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eval_cases())
+def test_eval_poly_matches_naive_substitution(case):
+    p, assignment = case
+    assert p.eval_poly(assignment) == _naive_eval(p, assignment)
+
+
+def test_eval_poly_renaming_and_kept_variables():
+    p = 3 * q**2 * t + q - Fraction(1, 2) * t**3
+    # a renaming onto a kept variable merges exponents
+    assert p.eval_poly({"q": t}) == _naive_eval(p, {"q": t})
+    # a simultaneous swap
+    assert p.eval_poly({"q": t, "t": q}) == 3 * t**2 * q + t - Fraction(1, 2) * q**3
+    # scaled monomial in a fresh variable and in a kept one
+    val = Fraction(-2, 3) * Z**2 * t
+    assert p.eval_poly({"q": val}) == _naive_eval(p, {"q": val})
+    assert p.eval_poly({"t": Polynomial.const(0)}) == q
+    with pytest.raises(ValueError):
+        p.eval_poly({"q": t + 1})
+
+
+_small_qt = st.builds(
+    lambda terms: Polynomial(("q", "t"), terms),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=3),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _small_qt,
+    _small_qt,
+    st.sampled_from(["q", "t"]),
+    st.builds(
+        lambda a, b, x: Polynomial.const(a) + b * Polynomial.var("t", x),
+        _fractions.filter(bool),
+        _fractions.filter(bool),
+        st.integers(1, 2),
+    ),
+)
+def test_specialize_with_several_term_values(num, den, name, value):
+    if den.is_zero():
+        den = Polynomial.const(1)
+    r = RationalFunction(num, den)
+    # the reduced fraction substituted by multiplying out, as before
+    sub_num = _naive_eval(r.num, {name: value})
+    sub_den = _naive_eval(r.den, {name: value})
+    if sub_den.is_zero():
+        with pytest.raises(PoleError):
+            r.specialize({name: value})
+    else:
+        assert r.specialize({name: value}) == RationalFunction(sub_num, sub_den)
+
+
+def test_specialize_several_term_values_examples():
+    r = normalize_fraction(q + t, q - 1)
+    assert r.specialize({"q": t + 1}) == normalize_fraction(2 * t + 1, t)
+    with pytest.raises(PoleError):
+        rf(1).__truediv__(rf(q**2 - t**2 - 2 * t - 1)).specialize({"q": t + 1})
+    with pytest.raises(PoleError):
+        rf(1).__truediv__(rf(1 - q)).specialize({"q": 1})

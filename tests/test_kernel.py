@@ -4,7 +4,9 @@ import pytest
 
 from qtsym.coeffring import HookField, Polynomial, rf
 from qtsym.kernel import (
+    _KERNEL,
     cauchy_series,
+    clear_kernel_caches,
     hook_factor,
     kernel,
     log_cauchy_series,
@@ -13,7 +15,7 @@ from qtsym.kernel import (
     q1_point,
     specialize_kernel,
 )
-from qtsym.macdonald import build_table
+from qtsym.macdonald import build_table, clear_tables
 from qtsym.partitions import Partition, partitions_of
 from qtsym.plethysm import exp_series
 from qtsym.symfunc import SymFunc, h_elem, hall_scalar, m_elem, p_elem, s_elem
@@ -21,6 +23,7 @@ from qtsym.symfunc import SymFunc, h_elem, hall_scalar, m_elem, p_elem, s_elem
 Z = Polynomial.var("Z")
 W = Polynomial.var("W")
 v = Polynomial.var("v")
+t = Polynomial.var("t")
 
 
 def P(*parts):
@@ -155,3 +158,31 @@ def test_pair_before_and_after_specialization_agree():
 def test_q1_point_consistency():
     zv, wv, ev = q1_point()
     assert ev * ev == zv * wv
+
+
+def test_cached_specialized_kernel_equals_fresh_specialization():
+    trace_point = (rf(0), rf(t), rf(0))
+    for n in (1, 2, 3):
+        for genus in (0, 1):
+            for points in (1, 2, 3, 4):
+                K = kernel(n, genus, points)
+                for point in (poincare_point(), trace_point):
+                    assert kernel(n, genus, points, point) == specialize_kernel(K, *point)
+    for n in (1, 2):
+        fresh = specialize_kernel(kernel(n, 1, 2), *q1_point())
+        assert kernel(n, 1, 2, q1_point()) == fresh
+
+
+def test_specialized_kernels_are_cached_per_point_and_cleared():
+    # runs last in this module: it empties the caches the tests above filled
+    at_v = kernel(1, 1, 2, poincare_point())
+    at_t = kernel(1, 1, 2, (rf(0), rf(t), rf(0)))
+    assert at_v != at_t
+    assert kernel(1, 1, 2, poincare_point()) is at_v
+    assert {(1, 1, 2, None), (1, 1, 2, poincare_point()), (1, 1, 2, (rf(0), rf(t), rf(0)))} <= set(_KERNEL)
+    clear_kernel_caches()
+    assert not _KERNEL
+    kernel(1, 0, 2, poincare_point())
+    assert _KERNEL
+    clear_tables()
+    assert not _KERNEL

@@ -14,8 +14,9 @@ from qtsym.kostka_algebra import (
     psi,
     qt_catalan,
     structure_coefficient,
+    structure_coefficients_all,
 )
-from qtsym.macdonald import build_table
+from qtsym.macdonald import MacdonaldTable, build_table, clear_tables
 from qtsym.partitions import Partition, partitions_of
 from qtsym.symfunc import SymFunc, e_elem, expand1, hall_scalar, s_elem
 
@@ -238,3 +239,18 @@ def test_nabla_pairing_is_column_coefficient():
             want = structure_coefficient([ones, mu], ones)
             got = grad.get(mu, rf(0))
             assert got == want, (n, mu)
+
+
+def test_structure_coefficients_use_a_passed_table():
+    # with identity Kostka matrices the only nonzero coefficient is the
+    # one whose target equals every factor
+    real = build_table(2)
+    ident = {(lam, eta): rf(1 if lam == eta else 0) for lam in real.partitions for eta in real.partitions}
+    table = MacdonaldTable(2, real.partitions, real.htilde, ident, ident, real.norms)
+    factors = [P(1, 1), P(1, 1)]
+    expect = {lam: rf(1 if lam == P(1, 1) else 0) for lam in real.partitions}
+    clear_tables()  # also drops the memoized coefficients
+    assert structure_coefficients_all(factors, table) == expect
+    memo = structure_coefficients_all(factors)
+    assert memo != expect
+    assert structure_coefficients_all(factors, table) == expect
