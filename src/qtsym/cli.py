@@ -19,7 +19,7 @@ from .coeffring import ParseError, PoleError, Polynomial, rf
 from .kernel import SPECIALIZATIONS, kernel
 from .kostka_algebra import nabla, qt_catalan, structure_coefficient
 from .linalg import SingularSystem
-from .macdonald import MacdonaldTable, build_table, norm_product, register_table
+from .macdonald import build_table, finish_table, norm_product, register_table
 from .partitions import Partition, parse_partition, partitions_of
 from .quiver import (
     CometSpec,
@@ -133,20 +133,7 @@ def cache_load(n, cache_dir):
     for lam in parts:
         if norms[lam] != rf(norm_product(lam)):
             raise CacheMiss("cache norms disagree with the cell product")
-    from .symfunc import qt_factor
-
-    kostka_inv = {}
-    for eta in parts:
-        scaled = {kappa: c * rf(qt_factor(kappa)) for kappa, c in htilde[eta].items()}
-        inv_norm = norms[eta].inverse()
-        for lam in parts:
-            acc = rf(0)
-            for kappa, c in scaled.items():
-                chi = mn_character(lam, kappa)
-                if chi:
-                    acc = acc + c * chi
-            kostka_inv[(eta, lam)] = acc * inv_norm
-    return MacdonaldTable(n, parts, htilde, kostka, kostka_inv, norms)
+    return finish_table(n, htilde, kostka, norms)
 
 
 def load_or_build(n, cache_dir=None):

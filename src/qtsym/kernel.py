@@ -15,8 +15,10 @@ The degree-n kernel is (Z-1)(1-W) times the degree-n component of the
 plethystic logarithm of the series. Specializing a single hook term is
 unsound (they have poles that only cancel in the logarithm), so
 specialization always happens after full assembly and reduction.
-A specialized kernel is cached beside the bivariate one, keyed by its
-point, so each (n, genus, points, point) is specialized once.
+The series, its Log and the kernels, bivariate or specialized at a
+point, are memoized as table-derived data (macdonald.derived): each
+(n, genus, points, point) is specialized once, and the memo is dropped
+when the tables are cleared or a different table is registered.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .coeffring import (
     RationalFunction,
     rf,
 )
-from .macdonald import build_table
+from .macdonald import build_table, derived
 from .partitions import Partition, partitions_of
 from .plethysm import Series, log_series
 from .symfunc import SymFunc
@@ -63,19 +65,15 @@ def hook_factor(lam, genus):
     return weight
 
 
-_HT_ZW = {}
-
-
+@derived
 def _htilde_zw(n):
     """Power-sum expansions of the degree-n Macdonald elements in (Z, W)."""
-    if n not in _HT_ZW:
-        table = build_table(n)
-        ren = {"q": "Z", "t": "W"}
-        _HT_ZW[n] = {
-            lam: {kappa: c.rename(ren) for kappa, c in table.htilde_p_dict(lam).items()}
-            for lam in table.partitions
-        }
-    return _HT_ZW[n]
+    table = build_table(n)
+    ren = {"q": "Z", "t": "W"}
+    return {
+        lam: {kappa: c.rename(ren) for kappa, c in table.htilde_p_dict(lam).items()}
+        for lam in table.partitions
+    }
 
 
 def _tensor_power(p_dict, points, weight):
@@ -90,14 +88,9 @@ def _tensor_power(p_dict, points, weight):
     return out
 
 
-_OMEGA = {}
-
-
+@derived
 def cauchy_series(genus, points, cap):
     """The truncated generating series; constant term 1."""
-    key = (genus, points, cap)
-    if key in _OMEGA:
-        return _OMEGA[key]
     series = Series(cap, points)
     series.comps[0] = SymFunc.one(points)
     for d in range(1, cap + 1):
@@ -111,21 +104,12 @@ def cauchy_series(genus, points, cap):
         F.k = points
         F.terms = {k2: c for k2, c in comp.items() if not c.is_zero()}
         series.comps[d] = F
-    _OMEGA[key] = series
     return series
 
 
-_LOG = {}
-
-
+@derived
 def log_cauchy_series(genus, points, cap):
-    key = (genus, points, cap)
-    if key not in _LOG:
-        _LOG[key] = log_series(cauchy_series(genus, points, cap))
-    return _LOG[key]
-
-
-_KERNEL = {}
+    return log_series(cauchy_series(genus, points, cap))
 
 
 def kernel(n, genus, points, point=None):
@@ -133,23 +117,19 @@ def kernel(n, genus, points, point=None):
 
     With point a (Z, W, eps) tuple, as accepted by specialize_kernel, the
     kernel specialized there. Both are computed once per
-    (n, genus, points, point) and kept until clear_kernel_caches().
+    (n, genus, points, point) and kept until the tables are cleared or
+    a different table is registered.
     """
-    key = (n, genus, points, point)
-    if key not in _KERNEL:
-        if point is None:
-            comp = log_cauchy_series(genus, points, n).component(n)
-            _KERNEL[key] = comp * rf((_Z - 1) * (1 - _W))
-        else:
-            _KERNEL[key] = specialize_kernel(kernel(n, genus, points), *point)
-    return _KERNEL[key]
+    # one memo entry per kernel, whether or not the caller passed point
+    return _kernel(n, genus, points, point)
 
 
-def clear_kernel_caches():
-    _HT_ZW.clear()
-    _OMEGA.clear()
-    _LOG.clear()
-    _KERNEL.clear()
+@derived
+def _kernel(n, genus, points, point):
+    if point is None:
+        comp = log_cauchy_series(genus, points, n).component(n)
+        return comp * rf((_Z - 1) * (1 - _W))
+    return specialize_kernel(kernel(n, genus, points), *point)
 
 
 def specialize_kernel(F, z_value, w_value, eps_value):

@@ -18,6 +18,7 @@ from .coeffring import Polynomial, rf
 from .macdonald import (
     build_table,
     corner_free_product,
+    derived,
     phi_weight,
 )
 from .partitions import Partition
@@ -40,9 +41,6 @@ def _require_degree(F):
     return next(iter(degs))
 
 
-_C_CACHE = {}
-
-
 def structure_coefficients_all(factors, table=None):
     """dict target -> c^target_factors for one tuple of factors.
 
@@ -57,9 +55,12 @@ def structure_coefficients_all(factors, table=None):
         raise ValueError("all factors must have equal size")
     if table is not None:
         return _structure_coefficients(factors, table)
-    if factors not in _C_CACHE:
-        _C_CACHE[factors] = _structure_coefficients(factors, build_table(n))
-    return _C_CACHE[factors]
+    return _registered_coefficients(factors)
+
+
+@derived
+def _registered_coefficients(factors):
+    return _structure_coefficients(factors, build_table(factors[0].size))
 
 
 def _structure_coefficients(factors, table):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffring import Polynomial, RationalFunction, rf
+from .coeffring import Polynomial, _newton_interpolation, rf
 from .linalg import SingularSystem, solve_bareiss
 from .partitions import Partition, dominance_leq, partitions_of
 from .plethysm import AlphabetExpr, substitute, z_diagonal
@@ -32,6 +32,7 @@ from .symfunc import (
     e_elem,
     hprod_to_p,
     mn_character,
+    qt_factor,
     qt_pairing_scalar,
 )
 
@@ -138,32 +139,6 @@ class _FastPathFailed(Exception):
     pass
 
 
-def _lagrange_coeffs(points, values):
-    """Exact ascending coefficients of the interpolating polynomial,
-    via Newton divided differences."""
-    m = len(points)
-    table = [Fraction(v) for v in values]
-    dd = [table[0]]
-    for level in range(1, m):
-        table = [
-            (table[i + 1] - table[i]) / (points[i + level] - points[i])
-            for i in range(m - level)
-        ]
-        dd.append(table[0])
-    out = [Fraction(0)] * m
-    acc = [Fraction(1)]  # running product (x - p0)...(x - p_{i-1})
-    for i in range(m):
-        for j, c in enumerate(acc):
-            out[j] += dd[i] * c
-        if i < m - 1:
-            nxt = [Fraction(0)] * (len(acc) + 1)
-            for j, c in enumerate(acc):
-                nxt[j] -= c * points[i]
-                nxt[j + 1] += c
-            acc = nxt
-    return out
-
-
 def _solve_interpolated(n, rho):
     """Evaluation-interpolation fast path: sample the t-family at integers,
     solve univariate-in-q systems, and rebuild the bivariate solution.
@@ -193,24 +168,20 @@ def _solve_interpolated(n, rho):
         samples.append([c.as_polynomial() for c in sol])
     out = {}
     for idx, kappa in enumerate(parts):
-        q_exponents = set()
+        # per sample: q exponent -> value of that q-coefficient at the sample t
+        by_q = []
         for sample in samples:
             poly = sample[idx]
             i_q = poly.vars.index("q") if "q" in poly.vars else None
-            for e in poly.terms:
-                q_exponents.add(e[i_q] if i_q is not None else 0)
+            coeffs = {}
+            for e, c in poly.terms.items():
+                a = e[i_q] if i_q is not None else 0
+                coeffs[a] = coeffs.get(a, Fraction(0)) + Fraction(c)
+            by_q.append(coeffs)
         terms = {}
-        for a in sorted(q_exponents):
-            values = []
-            for sample in samples:
-                poly = sample[idx]
-                i_q = poly.vars.index("q") if "q" in poly.vars else None
-                val = Fraction(0)
-                for e, c in poly.terms.items():
-                    if (e[i_q] if i_q is not None else 0) == a:
-                        val += Fraction(c)
-                values.append(val)
-            for b, c in enumerate(_lagrange_coeffs(points, values)):
+        for a in sorted(set().union(*by_q)):
+            values = [coeffs.get(a, Fraction(0)) for coeffs in by_q]
+            for b, c in enumerate(_newton_interpolation(points, values)):
                 if c:
                     terms[(a, b)] = c
         out[kappa] = rf(Polynomial(("q", "t"), terms))
@@ -280,11 +251,18 @@ def build_table(n):
                     acc = acc + c * chi
             kostka[(lam, rho)] = acc
     norms = {lam: rf(norm_product(lam)) for lam in parts}
+    table = finish_table(n, htilde, kostka, norms)
+    _TABLES[n] = table
+    return table
+
+
+def finish_table(n, htilde, kostka, norms):
+    """The MacdonaldTable of these expansions, Kostka entries and norms,
+    with the inverse Kostka matrix computed from them."""
+    parts = partitions_of(n)
     # Orthogonality turns inversion into pairings: the coefficient of the
     # Macdonald element H_eta in s_lam is (s_lam, H_eta)^{q,t} / a_eta.
     kostka_inv = {}
-    from .symfunc import qt_factor
-
     for eta in parts:
         scaled = {
             kappa: c * rf(qt_factor(kappa)) for kappa, c in htilde[eta].items()
@@ -297,9 +275,7 @@ def build_table(n):
                 if chi:
                     acc = acc + c * chi
             kostka_inv[(eta, lam)] = acc * inv_norm
-    table = MacdonaldTable(n, parts, htilde, kostka, kostka_inv, norms)
-    _TABLES[n] = table
-    return table
+    return MacdonaldTable(n, parts, htilde, kostka, kostka_inv, norms)
 
 
 def register_table(table):
@@ -320,13 +296,20 @@ def clear_tables():
     _clear_derived()
 
 
-def _clear_derived():
-    # local imports: both modules import this one
-    from .kernel import clear_kernel_caches
-    from .kostka_algebra import _C_CACHE
+_DERIVED_CLEARS = []
 
-    _C_CACHE.clear()
-    clear_kernel_caches()
+
+def derived(fn):
+    """Memoize fn on its arguments as data derived from the registered
+    tables: clear_tables() and register_table() drop the memo."""
+    cached = lru_cache(maxsize=None)(fn)
+    _DERIVED_CLEARS.append(cached.cache_clear)
+    return cached
+
+
+def _clear_derived():
+    for cache_clear in _DERIVED_CLEARS:
+        cache_clear()
 
 
 def norm_product(lam):

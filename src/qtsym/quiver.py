@@ -292,24 +292,28 @@ def trace_configuration(mu, nu):
     return CometSpec(0, n, punctures)
 
 
-def _column_test_function(mu, nu, k=4):
-    """s_mu[X1] s_nu[X2] p_(n)[X3] h_(n-1,1)[X4]."""
-    mu = Partition(mu)
-    nu = Partition(nu)
-    n = mu.size
-    if nu.size != n:
-        raise ValueError("partitions must have the same size")
-    T = s_elem(mu, 0, k) * s_elem(nu, 1, k)
-    T = T * p_elem(Partition((n,)), 2, k)
-    T = T * h_elem(Partition((n - 1, 1)) if n > 1 else Partition((1,)), 3, k)
-    return T
+def _column_test_function(factors):
+    """(n, s_{mu_1}[X_1] ... s_{mu_k}[X_k] p_(n)[X_{k+1}] h_(n-1,1)[X_{k+2}])
+    for factors mu_1..mu_k of one size n."""
+    factors = [Partition(m) for m in factors]
+    if not factors:
+        raise ValueError("need at least one factor")
+    n = factors[0].size
+    if any(m.size != n for m in factors):
+        raise ValueError("all factors must have the same size")
+    k = len(factors) + 2
+    T = s_elem(factors[0], 0, k)
+    for j, m in enumerate(factors[1:], 1):
+        T = T * s_elem(m, j, k)
+    T = T * p_elem(Partition((n,)), k - 2, k)
+    T = T * h_elem(Partition((n - 1, 1)) if n > 1 else Partition((1,)), k - 1, k)
+    return n, T
 
 
 def c_from_trace(mu, nu):
     """Column structure coefficient at q=0 via the twisted trace formula,
     as a polynomial in t."""
-    n = Partition(mu).size
-    T = _column_test_function(mu, nu)
+    n, T = _column_test_function((mu, nu))
     K = kernel(n, 0, 4, (rf(0), rf(_T), rf(0)))
     val = hall_scalar(T, K)
     if (n - 1) % 2:
@@ -322,19 +326,8 @@ def c_from_log(factors):
 
     Exact: must agree with the Kostka-matrix computation.
     """
-    factors = [Partition(m) for m in factors]
-    if not factors:
-        raise ValueError("need at least one factor")
-    n = factors[0].size
-    if any(m.size != n for m in factors):
-        raise ValueError("all factors must have the same size")
-    k = len(factors)
-    comp = log_cauchy_series(0, k + 2, n).component(n)
-    T = SymFunc.one(k + 2)
-    for j, m in enumerate(factors):
-        T = T * s_elem(m, j, k + 2)
-    T = T * p_elem(Partition((n,)), k, k + 2)
-    T = T * h_elem(Partition((n - 1, 1)) if n > 1 else Partition((1,)), k + 1, k + 2)
+    n, T = _column_test_function(factors)
+    comp = log_cauchy_series(0, T.k, n).component(n)
     val = hall_scalar(T, comp)
     val = val.rename({"Z": "q", "W": "t"})
     val = val * rf((_Q - 1) * (1 - _T))
@@ -345,8 +338,7 @@ def c_from_log(factors):
 
 def mixed_hodge_rhs(mu, nu):
     """Conjectural column coefficient via the mixed-Hodge specialization."""
-    n = Partition(mu).size
-    T = _column_test_function(mu, nu)
+    n, T = _column_test_function((mu, nu))
     val = hall_scalar(T, kernel(n, 0, 4))
     val = specialize_kernel(val, *mixed_hodge_point())
     if (n - 1) % 2:
@@ -361,8 +353,7 @@ def q1_rhs(mu, nu):
     a PoleError propagates to the caller. The alternating sign matches
     the additive twisted-trace convention (the n=2 case fixes it).
     """
-    n = Partition(mu).size
-    T = _column_test_function(mu, nu)
+    n, T = _column_test_function((mu, nu))
     val = hall_scalar(T, kernel(n, 0, 4))
     val = val.specialize({"Z": rf(1), "W": rf(_T)})
     if (n - 1) % 2:

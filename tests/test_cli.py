@@ -98,16 +98,17 @@ def test_computation_error_exit_code(capsys):
     assert "ValueError" in capsys.readouterr().err
 
 
-def test_cache_round_trip(tmp_path):
-    table = build_table(3)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cache_round_trip(tmp_path, n):
+    table = build_table(n)
     cache_save(table, str(tmp_path))
-    loaded = cache_load(3, str(tmp_path))
+    loaded = cache_load(n, str(tmp_path))
     assert loaded == table
     # bit-identical reuse through load_or_build
     clear_tables()
-    again = load_or_build(3, str(tmp_path))
+    again = load_or_build(n, str(tmp_path))
     assert again == table
-    build_table(3)  # repopulate the in-process cache for other tests
+    build_table(n)  # repopulate the in-process cache for other tests
 
 
 def test_cache_version_and_corruption(tmp_path):

@@ -10,6 +10,7 @@ from qtsym.coeffring import (
     PoleError,
     Polynomial,
     RationalFunction,
+    _newton_interpolation,
     normalize_fraction,
     poly_gcd,
     rf,
@@ -229,6 +230,23 @@ def _eval_cases(draw):
 def test_eval_poly_matches_naive_substitution(case):
     p, assignment = case
     assert p.eval_poly(assignment) == _naive_eval(p, assignment)
+
+
+@st.composite
+def _interpolation_cases(draw):
+    coeffs = draw(st.lists(_fractions, min_size=1, max_size=7))
+    n = len(coeffs)
+    points = draw(st.lists(_fractions, min_size=n, max_size=n + 2, unique=True))
+    return coeffs, points
+
+
+@settings(max_examples=100, deadline=None)
+@given(_interpolation_cases())
+def test_newton_interpolation_recovers_the_polynomial(case):
+    coeffs, points = case
+    values = [sum(c * x**i for i, c in enumerate(coeffs)) for x in points]
+    padded = coeffs + [Fraction(0)] * (len(points) - len(coeffs))
+    assert _newton_interpolation(points, values) == padded
 
 
 def test_eval_poly_renaming_and_kept_variables():

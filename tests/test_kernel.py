@@ -4,9 +4,7 @@ import pytest
 
 from qtsym.coeffring import HookField, Polynomial, rf
 from qtsym.kernel import (
-    _KERNEL,
     cauchy_series,
-    clear_kernel_caches,
     hook_factor,
     kernel,
     log_cauchy_series,
@@ -175,14 +173,14 @@ def test_cached_specialized_kernel_equals_fresh_specialization():
 
 def test_specialized_kernels_are_cached_per_point_and_cleared():
     # runs last in this module: it empties the caches the tests above filled
+    trace_point = (rf(0), rf(t), rf(0))
     at_v = kernel(1, 1, 2, poincare_point())
-    at_t = kernel(1, 1, 2, (rf(0), rf(t), rf(0)))
+    at_t = kernel(1, 1, 2, trace_point)
     assert at_v != at_t
     assert kernel(1, 1, 2, poincare_point()) is at_v
-    assert {(1, 1, 2, None), (1, 1, 2, poincare_point()), (1, 1, 2, (rf(0), rf(t), rf(0)))} <= set(_KERNEL)
-    clear_kernel_caches()
-    assert not _KERNEL
-    kernel(1, 0, 2, poincare_point())
-    assert _KERNEL
+    assert kernel(1, 1, 2, trace_point) is at_t
+    assert kernel(1, 1, 2) is kernel(1, 1, 2, None)
     clear_tables()
-    assert not _KERNEL
+    fresh = kernel(1, 1, 2, poincare_point())
+    assert fresh is not at_v
+    assert fresh == at_v
