@@ -15,13 +15,24 @@ The degree-n kernel is (Z-1)(1-W) times the degree-n component of the
 plethystic logarithm of the series. Specializing a single hook term is
 unsound (they have poles that only cancel in the logarithm), so
 specialization always happens after full assembly and reduction.
-The series, its Log and the kernels, bivariate or specialized at a
-point, are memoized as table-derived data (macdonald.derived): each
-(n, genus, points, point) is specialized once, and the memo is dropped
-when the tables are cleared or a different table is registered.
+
+Every term prod_j H[X_j] is symmetric under permuting the k alphabets:
+permuting a key only permutes the factors of its coefficient, so all
+keys of an orbit have the same exact coefficient. Each degree therefore
+sums the partition contributions once per sorted orbit representative
+and stores the reduced sum, as one shared object, under every key of
+the orbit. Storage stays dense over all alphabet keys.
+
+The series components (one memo entry per degree, shared by every cap),
+the Log and the kernels, bivariate or specialized at a point, are
+memoized as table-derived data (macdonald.derived): each
+(n, genus, points, point) is specialized once, and every memo is dropped
+whenever the tables are cleared or any table is registered.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .coeffring import (
     HF_ONE,
@@ -77,15 +88,40 @@ def _htilde_zw(n):
 
 
 def _tensor_power(p_dict, points, weight):
-    """Keys and coefficients of weight * prod_j H[X_j] over all alphabets."""
+    """Coefficients of weight * prod_j H[X_j] on the non-decreasing keys
+    over sorted(p_dict), one per orbit of the alphabet permutations.
+    Permuting the alphabets permutes the factors of a term, so every key
+    of an orbit has the coefficient of its sorted representative."""
+    kappas = sorted(p_dict)
     out = {(): weight}
     for _ in range(points):
         new = {}
         for key, c in out.items():
-            for kappa, v in p_dict.items():
-                new[key + (kappa,)] = c * v
+            for kappa in kappas:
+                if not key or key[-1] <= kappa:
+                    new[key + (kappa,)] = c * p_dict[kappa]
         out = new
     return out
+
+
+@derived
+def _cauchy_component(genus, points, d):
+    """Degree-d component of the series, summed per orbit representative
+    and stored densely, one shared coefficient per orbit."""
+    reps = {}
+    for lam in partitions_of(d):
+        weight = hook_factor(lam, genus)
+        for rep, c in _tensor_power(_htilde_zw(d)[lam], points, weight).items():
+            prev = reps.get(rep)
+            reps[rep] = c if prev is None else prev + c
+    F = SymFunc.__new__(SymFunc)
+    F.k = points
+    F.terms = {}
+    for key in product(sorted(partitions_of(d)), repeat=points):
+        c = reps.get(tuple(sorted(key)))
+        if c is not None and not c.is_zero():
+            F.terms[key] = c
+    return F
 
 
 @derived
@@ -94,16 +130,7 @@ def cauchy_series(genus, points, cap):
     series = Series(cap, points)
     series.comps[0] = SymFunc.one(points)
     for d in range(1, cap + 1):
-        comp = {}
-        for lam in partitions_of(d):
-            weight = hook_factor(lam, genus)
-            for k2, c in _tensor_power(_htilde_zw(d)[lam], points, weight).items():
-                prev = comp.get(k2)
-                comp[k2] = c if prev is None else prev + c
-        F = SymFunc.__new__(SymFunc)
-        F.k = points
-        F.terms = {k2: c for k2, c in comp.items() if not c.is_zero()}
-        series.comps[d] = F
+        series.comps[d] = _cauchy_component(genus, points, d)
     return series
 
 
@@ -118,7 +145,7 @@ def kernel(n, genus, points, point=None):
     With point a (Z, W, eps) tuple, as accepted by specialize_kernel, the
     kernel specialized there. Both are computed once per
     (n, genus, points, point) and kept until the tables are cleared or
-    a different table is registered.
+    any table is registered.
     """
     # one memo entry per kernel, whether or not the caller passed point
     return _kernel(n, genus, points, point)

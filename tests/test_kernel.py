@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -169,6 +170,49 @@ def test_cached_specialized_kernel_equals_fresh_specialization():
     for n in (1, 2):
         fresh = specialize_kernel(kernel(n, 1, 2), *q1_point())
         assert kernel(n, 1, 2, q1_point()) == fresh
+
+
+def _dense_cauchy_component(genus, points, d):
+    # the definition unrolled: hook_factor(lam) * prod_j H[kappa_j] summed
+    # over every partition and every one of the k^d alphabet keys
+    table = build_table(d)
+    ren = {"q": "Z", "t": "W"}
+    terms = {}
+    for lam in partitions_of(d):
+        weight = hook_factor(lam, genus)
+        H = {kap: c.rename(ren) for kap, c in table.htilde_p_dict(lam).items()}
+        for key in product(H, repeat=points):
+            c = weight
+            for kap in key:
+                c = c * H[kap]
+            terms[key] = terms[key] + c if key in terms else c
+    return SymFunc(points, terms)
+
+
+CAUCHY_CASES = [
+    (n, genus, points)
+    for n in (1, 2, 3)
+    for genus in (0, 1)
+    for points in (1, 2, 3, 4)
+    if not (n == 3 and genus == 1 and points > 2)
+] + [(4, 1, 1)]
+
+
+@pytest.mark.parametrize("n,genus,points", CAUCHY_CASES)
+def test_cauchy_series_matches_dense_definition(n, genus, points):
+    # lower degrees are the top degree of a smaller case
+    expect = _dense_cauchy_component(genus, points, n)
+    assert cauchy_series(genus, points, n).component(n) == expect
+
+
+def test_cauchy_components_are_shared_across_caps_and_cleared():
+    first = cauchy_series(1, 2, 2).component(1)
+    assert cauchy_series(1, 2, 3).component(1) is first
+    clear_tables()
+    fresh = cauchy_series(1, 2, 3).component(1)
+    assert fresh is not first
+    assert fresh == first
+    assert cauchy_series(1, 2, 2).component(1) is fresh
 
 
 def test_specialized_kernels_are_cached_per_point_and_cleared():
