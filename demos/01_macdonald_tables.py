@@ -1,8 +1,10 @@
 """Build a Macdonald table and look around.
 
-The modified Macdonald polynomials are pinned down by two triangularity
-families and a normalization; the table bundles their power-sum
-expansions, the Kostka matrix, its inverse, and the (q,t)-norms.
+The modified Macdonald polynomials are summed over fillings of their
+diagrams (the Haglund-Haiman-Loehr formula) and checked against the two
+triangularity families and the normalization that pin them down; the
+table bundles their power-sum expansions, the Kostka matrix, its
+inverse, and the (q,t)-norms.
 """
 
 from qtsym import Partition, build_table, partitions_of, qt_pairing_scalar

@@ -1,10 +1,10 @@
-"""Exact linear solves used by the Macdonald table builder.
+"""Exact linear algebra: matrix inversion and polynomial system solves.
 
-The main entry point is a fraction-free (Bareiss) elimination over
-polynomial matrices with pivots chosen by minimal total degree, which
-keeps intermediate entries as true polynomials and limits coefficient
-swell. Overdetermined systems are allowed: elimination runs on all rows
-and the caller re-verifies every constraint on the solution.
+invert_matrix (Gauss-Jordan over any exact field) serves symfunc's
+monomial-to-power-sum transition. solve_bareiss, exported by the package,
+is fraction-free (Bareiss) elimination over polynomial matrices with
+minimal-degree pivots, which keeps entries polynomial and limits swell.
+Overdetermined systems are allowed; the caller re-verifies the solution.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
-"""Modified Macdonald polynomials from their linear characterization.
+"""Modified Macdonald polynomials from the Haglund-Haiman-Loehr formula.
 
-For each partition rho of n, the modified Macdonald polynomial is pinned
-down inside the span of degree-n power sums by three families of linear
-conditions:
+Each H~_rho is summed over the fillings of the diagram of rho, weighted
+by q^inv t^maj (J. Amer. Math. Soc. 18 (2005)), and mapped from the
+monomial to the power-sum basis. The result is then checked against the
+linear characterization that pins H~_rho down uniquely inside the span
+of degree-n power sums:
 
   (a) the monomial expansion of H[X(t-1)] is supported on mu below rho
       in dominance order,
@@ -10,11 +12,9 @@ conditions:
       conjugate of rho,
   (c) H[1; q,t] = 1, i.e. the power-sum coefficients sum to 1.
 
-The resulting (overdetermined, uniquely solvable) system is solved
-fraction-free over Q[q,t]; every constraint is re-verified on the
-solution and any violation raises SingularSystem. The table bundles the
-Schur-basis transition matrix (the modified Kostka polynomials), its
-inverse, and the squared norms for the (q,t)-Hall pairing.
+Any violation raises SingularSystem. The table bundles the Schur-basis
+transition matrix (the modified Kostka polynomials), its inverse, and
+the squared norms for the (q,t)-Hall pairing.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffring import Polynomial, _newton_interpolation, rf
-from .linalg import SingularSystem, solve_bareiss
+from .coeffring import Polynomial, rf
+from .linalg import SingularSystem
 from .partitions import Partition, dominance_leq, partitions_of
 from .plethysm import AlphabetExpr, substitute, z_diagonal
 from .symfunc import (
@@ -31,6 +31,7 @@ from .symfunc import (
     _check_cap,
     e_elem,
     hprod_to_p,
+    m_to_p,
     mn_character,
     qt_factor,
     qt_pairing_scalar,
@@ -103,104 +104,74 @@ def _scale_factor(kappa, varname):
     return out
 
 
-def _system_rows(n, rho, t_value=None):
-    """Constraint matrix for rho; with t_value the t-family is evaluated
-    at an integer, leaving a univariate-in-q system."""
-    parts = partitions_of(n)
-    pairing = _pairing_p_h(n)
-    rows = []
-    rhs = []
-    for mu in parts:
-        if not dominance_leq(mu, rho):
-            row = []
-            for kappa in parts:
-                factor = _scale_factor(kappa, "t")
-                if t_value is not None:
-                    factor = Polynomial.const(factor.eval_fraction({"t": t_value}))
-                row.append(factor.scale(pairing.get((kappa, mu), Fraction(0))))
-            rows.append(row)
-            rhs.append(Polynomial.const(0))
-    rho_c = rho.conjugate()
-    for mu in parts:
-        if not dominance_leq(mu, rho_c):
-            rows.append(
-                [
-                    _scale_factor(kappa, "q").scale(pairing.get((kappa, mu), Fraction(0)))
-                    for kappa in parts
-                ]
-            )
-            rhs.append(Polynomial.const(0))
-    rows.append([Polynomial.const(1)] * len(parts))
-    rhs.append(Polynomial.const(1))
-    return rows, rhs
+def _filling_weights(mu, lam):
+    """(inv, maj) -> number of fillings of the diagram of mu whose content
+    is lam, i.e. the m_lam coefficient of the Haglund-Haiman-Loehr sum.
 
-
-class _FastPathFailed(Exception):
-    pass
-
-
-def _solve_interpolated(n, rho):
-    """Evaluation-interpolation fast path: sample the t-family at integers,
-    solve univariate-in-q systems, and rebuild the bivariate solution.
-
-    The caller re-verifies every constraint exactly, so a failure here is
-    harmless (the caller falls back to the direct fraction-free solve).
+    The diagram is French: row i (from 1, the longest, at the bottom) holds
+    the cells (i, 1..mu_i), and cells are read from the top row down, left
+    to right. Two cells attack when they share a row, or lie in adjacent
+    rows with the upper one strictly to the right. A descent is a cell
+    above the bottom row whose letter exceeds the letter just below it;
+    inv counts attacking pairs whose earlier-read letter is larger, minus
+    the arms of the descents, and maj sums leg + 1 over the descents.
     """
-    parts = partitions_of(n)
-    bound = n * (n - 1) // 2 + 1
-    samples = []
-    points = []
-    t0 = 2
-    attempts = 0
-    while len(points) < bound:
-        attempts += 1
-        if attempts > bound + 12:
-            raise _FastPathFailed("not enough regular sample points")
-        rows, rhs = _system_rows(n, rho, t_value=Fraction(t0))
-        t0 += 1
-        try:
-            sol = solve_bareiss(rows, rhs)
-        except SingularSystem:
-            continue
-        if any(not c.is_polynomial() for c in sol):
-            raise _FastPathFailed("sample solution not polynomial in q")
-        points.append(Fraction(t0 - 1))
-        samples.append([c.as_polynomial() for c in sol])
+    cells = [(i, j) for i in range(len(mu), 0, -1) for j in range(1, mu[i - 1] + 1)]
+    pos = {cell: k for k, cell in enumerate(cells)}
+    # Everything a cell is compared with is read before it: the cells to
+    # its left, the upper-row cells to its right, and the cell above it.
+    attacked = []
+    above = []
+    for i, j in cells:
+        upper = mu[i] if i < len(mu) else 0
+        attacked.append(
+            [pos[(i, c)] for c in range(1, j)]
+            + [pos[(i + 1, c)] for c in range(j + 1, upper + 1)]
+        )
+        if j <= upper:
+            above.append((pos[(i + 1, j)], upper - j, mu.leg(i + 1, j) + 1))
+        else:
+            above.append(None)
+    size = len(cells)
+    left = list(lam)
+    word = [0] * size
     out = {}
-    for idx, kappa in enumerate(parts):
-        # per sample: q exponent -> value of that q-coefficient at the sample t
-        by_q = []
-        for sample in samples:
-            poly = sample[idx]
-            i_q = poly.vars.index("q") if "q" in poly.vars else None
-            coeffs = {}
-            for e, c in poly.terms.items():
-                a = e[i_q] if i_q is not None else 0
-                coeffs[a] = coeffs.get(a, Fraction(0)) + Fraction(c)
-            by_q.append(coeffs)
-        terms = {}
-        for a in sorted(set().union(*by_q)):
-            values = [coeffs.get(a, Fraction(0)) for coeffs in by_q]
-            for b, c in enumerate(_newton_interpolation(points, values)):
-                if c:
-                    terms[(a, b)] = c
-        out[kappa] = rf(Polynomial(("q", "t"), terms))
+
+    def place(k, inv, maj):
+        if k == size:
+            out[(inv, maj)] = out.get((inv, maj), 0) + 1
+            return
+        for letter, count in enumerate(left):
+            if not count:
+                continue
+            left[letter] -= 1
+            word[k] = letter
+            d_inv = sum(1 for b in attacked[k] if word[b] > letter)
+            d_maj = 0
+            if above[k] is not None and word[above[k][0]] > letter:
+                d_inv -= above[k][1]
+                d_maj = above[k][2]
+            place(k + 1, inv + d_inv, maj + d_maj)
+            left[letter] += 1
+
+    place(0, 0, 0)
     return out
 
 
-def _solve_one(n, rho):
-    try:
-        coeffs = _solve_interpolated(n, rho)
-        _verify_solution(n, rho, coeffs)
-        return {kappa: c for kappa, c in coeffs.items() if not c.is_zero()}
-    except (_FastPathFailed, SingularSystem):
-        pass
-    rows, rhs = _system_rows(n, rho)
-    try:
-        sol = solve_bareiss(rows, rhs)
-    except SingularSystem as exc:
-        raise SingularSystem("no unique solution for %s: %s" % (rho, exc)) from exc
-    coeffs = dict(zip(partitions_of(n), sol))
+def _htilde_hhl(n, rho):
+    """Power-sum coefficients of H~_rho from the combinatorial formula
+    H~_rho = sum over fillings sigma of q^inv t^maj x^sigma
+    (Haglund-Haiman-Loehr, J. Amer. Math. Soc. 18 (2005)), with every
+    constraint of the characterization re-verified; zeros are dropped."""
+    parts = partitions_of(n)
+    terms = {kappa: {} for kappa in parts}
+    for lam in parts:
+        weights = _filling_weights(rho, lam)
+        for kappa, c in m_to_p(lam).items():
+            acc = terms[kappa]
+            for e, count in weights.items():
+                acc[e] = acc.get(e, 0) + c * count
+    coeffs = {kappa: rf(Polynomial(("q", "t"), terms[kappa])) for kappa in parts}
     _verify_solution(n, rho, coeffs)
     return {kappa: c for kappa, c in coeffs.items() if not c.is_zero()}
 
@@ -239,7 +210,7 @@ def build_table(n):
         raise ValueError("table degree must be at least 1")
     _check_cap(n)
     parts = partitions_of(n)
-    htilde = {rho: _solve_one(n, rho) for rho in parts}
+    htilde = {rho: _htilde_hhl(n, rho) for rho in parts}
     kostka = {}
     for rho in parts:
         coeffs = htilde[rho]

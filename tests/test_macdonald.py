@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from qtsym.linalg import SingularSystem, solve_bareiss
 from qtsym.partitions import Partition, dominance_leq, partitions_of
 from qtsym.plethysm import AlphabetExpr, substitute
 from qtsym.macdonald import (
+    _verify_solution,
     build_table,
     delta1,
     delta1_eigenvalue,
@@ -48,8 +50,49 @@ def test_degree_one_and_two_tables():
     assert t2.kostka_entry(P(1, 1), P(1, 1)) == rf(t)
     # p-expansions match the hand solve
     d = t2.htilde_p_dict(P(2))
-    assert d[P(1, 1)] == rf((1 + q)).scale_check if False else d[P(1, 1)] == rf(q + 1) * Fraction(1, 2)
+    assert d[P(1, 1)] == rf(q + 1) * Fraction(1, 2)
     assert d[P(2)] == rf(1 - q) * Fraction(1, 2)
+
+
+def test_monomial_coefficients_at_q_t_one_are_multinomials():
+    # H~_mu[X; 1, 1] = h_1^n, whose m_lam coefficient is n! / prod lam_i!
+    ones = {"q": Fraction(1), "t": Fraction(1)}
+    for n in range(1, 6):
+        table = build_table(n)
+        for mu in partitions_of(n):
+            coeffs = expand1(table.htilde_sym(mu), "monomial")
+            for lam in partitions_of(n):
+                value = coeffs[lam].as_polynomial().eval_fraction(ones)
+                expected = math.factorial(n)
+                for part in lam:
+                    expected //= math.factorial(part)
+                assert value == expected, (mu, lam)
+
+
+def test_kostka_hook_row_is_diagram_generator_minus_one():
+    # K~_{(n-1,1), mu} = B_mu - 1 with B_mu = sum over cells of q^{j-1} t^{i-1}
+    for n in range(2, 7):
+        table = build_table(n)
+        for mu in partitions_of(n):
+            assert table.kostka_entry(P(n - 1, 1), mu) == rf(phi_weight(mu) - 1), mu
+
+
+def test_verify_solution_rejects_a_perturbed_expansion():
+    n = 3
+    table = build_table(n)
+    parts = partitions_of(n)
+    for rho in parts:
+        coeffs = {kappa: table.htilde_p_dict(rho).get(kappa, rf(0)) for kappa in parts}
+        _verify_solution(n, rho, coeffs)
+        for kappa in parts:
+            # one coefficient moved: the normalization breaks
+            with pytest.raises(SingularSystem):
+                _verify_solution(n, rho, {**coeffs, kappa: coeffs[kappa] + rf(q)})
+        # mass moved between two coefficients: the sum holds, triangularity breaks
+        first, second = parts[0], parts[-1]
+        moved = {**coeffs, first: coeffs[first] + rf(q), second: coeffs[second] - rf(q)}
+        with pytest.raises(SingularSystem, match="triangularity"):
+            _verify_solution(n, rho, moved)
 
 
 def test_kostka_top_row_is_one():
@@ -161,8 +204,6 @@ def test_phi_weight():
 def test_duality_sanity_dimensions():
     # at q = t = 1 the Kostka entries count standard Young tableaux,
     # so each column sums against dimensions to n!
-    import math
-    from fractions import Fraction
     from qtsym.symfunc import mn_character
 
     for n in range(1, 4):
