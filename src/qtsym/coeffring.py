@@ -16,7 +16,9 @@ threads.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd
 
 
@@ -201,7 +203,7 @@ class Polynomial:
             else:
                 s = prev + c
                 if s:
-                    out[e] = s
+                    out[e] = s if type(s) is int else _normc(s)
                 else:
                     del out[e]
         return Polynomial._raw(vs, out)
@@ -236,7 +238,7 @@ class Polynomial:
                     for j, b in enumerate(lb):
                         if b:
                             out[i + j] += a * b
-            return Polynomial._raw(vs, {(i,): c for i, c in enumerate(out) if c})
+            return Polynomial._raw(vs, {(i,): _normc(c) for i, c in enumerate(out) if c})
         out = {}
         if len(ta) > len(tb):
             ta, tb = tb, ta
@@ -253,6 +255,9 @@ class Polynomial:
                         out[e] = s
                     else:
                         del out[e]
+        for e, c in out.items():
+            if type(c) is not int and c.denominator == 1:
+                out[e] = c.numerator
         return Polynomial._raw(vs, out)
 
     __rmul__ = __mul__
@@ -362,23 +367,36 @@ class Polynomial:
             return Polynomial._raw(vs, {(i,): _normc(c) for i, c in enumerate(quo) if c})
         lead_b = max(tb, key=lambda e: (sum(e), e))
         cb = tb[lead_b]
+        tail_b = [(eb, k) for eb, k in tb.items() if eb != lead_b]
         rem = dict(ta)
+        # Max-heap on graded-lex order of the remainder's exponents. A term
+        # that cancels stays in the heap and is skipped when popped; every
+        # exponent in rem has at least one entry.
+        heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
+        heapq.heapify(heap)
         quo = {}
         while rem:
-            lead_r = max(rem, key=lambda e: (sum(e), e))
+            lead_r = heapq.heappop(heap)[2]
+            c = rem.pop(lead_r, None)
+            if c is None:
+                continue
             diff = tuple(x - y for x, y in zip(lead_r, lead_b))
             if any(d < 0 for d in diff):
                 raise ValueError("not an exact polynomial division")
-            c = _exact_div(rem[lead_r], cb)
+            c = _exact_div(c, cb)
             quo[diff] = c
-            for eb, k in tb.items():
+            for eb, k in tail_b:
                 e = tuple(x + y for x, y in zip(diff, eb))
-                prev = rem.get(e, 0)
-                s = prev - c * k
-                if s:
-                    rem[e] = _normc(s)
-                elif e in rem:
-                    del rem[e]
+                prev = rem.get(e)
+                if prev is None:
+                    rem[e] = _normc(-c * k)
+                    heapq.heappush(heap, (-sum(e), tuple(-x for x in e), e))
+                else:
+                    s = prev - c * k
+                    if s:
+                        rem[e] = _normc(s)
+                    else:
+                        del rem[e]
         return Polynomial._raw(vs, quo)
 
     # -- substitution ------------------------------------------------------
@@ -1229,6 +1247,75 @@ def rf(text_or_value):
     if isinstance(text_or_value, Polynomial):
         return RationalFunction(text_or_value)
     return RationalFunction.const(text_or_value)
+
+
+# -- denominators with known irreducible factors --------------------------------
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(d):
+    """Integer coefficients of the d-th cyclotomic polynomial, lowest first."""
+    x = Polynomial.var("x")
+    out = x**d - 1
+    for e in range(1, d):
+        if d % e == 0:
+            out = out.divexact(Polynomial(("x",), {(i,): c for i, c in enumerate(_cyclotomic(e))}))
+    return tuple(out.terms.get((i,), 0) for i in range(out.degree_in("x") + 1))
+
+
+@lru_cache(maxsize=None)
+def binomial_factors(x, a, y, b):
+    """(unit, factors) with x^a - y^b = unit * prod(factors) over Q.
+
+    With g = gcd(a, b), x^a - y^b = prod over d | g of the homogenized
+    cyclotomic polynomial Phi_d(X, Y) = Y^phi(d) Phi_d(X/Y) at
+    X = x^(a/g), Y = y^(b/g); each factor is irreducible, and a or b = 0
+    gives the univariate cyclotomic factorization. The factors are
+    distinct, in the variables (x, y), primitive with positive graded-lex
+    leading coefficient, and unit is 1 or -1.
+    """
+    g = _int_gcd(a, b)
+    if not g:
+        raise ValueError("x^0 - y^0 is zero")
+    unit = 1
+    factors = []
+    for d in range(1, g + 1):
+        if g % d:
+            continue
+        coeffs = _cyclotomic(d)
+        top = len(coeffs) - 1
+        f = Polynomial(
+            (x, y),
+            {(a // g * i, b // g * (top - i)): c for i, c in enumerate(coeffs) if c},
+        )
+        if f.leading()[1] < 0:
+            f = -f
+            unit = -unit
+        factors.append(f)
+    return unit, tuple(factors)
+
+
+def reduce_by_factors(num, factors, unit=1):
+    """num / (unit * prod f^m over factors.items()) as a reduced RationalFunction.
+
+    The factors must be distinct irreducible polynomials, each primitive
+    with positive leading coefficient, and unit a nonzero rational. Each
+    factor is divided out of num for as long as it divides; what is left
+    of the denominator is coprime to the numerator, so no gcd is needed.
+    """
+    if num.is_zero():
+        return RF_ZERO
+    den = P_ONE
+    for f, m in factors.items():
+        while m:
+            try:
+                num = num.divexact(f)
+            except ValueError:
+                break
+            m -= 1
+        if m:
+            den = den * f**m
+    return RationalFunction(num.scale(Fraction(1) / unit), den, _reduced=True)
 
 
 # -- quadratic extension for the genus-g hook numerators ----------------------

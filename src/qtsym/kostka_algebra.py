@@ -7,6 +7,12 @@ the Schur basis come straight out of the Kostka matrix and its inverse:
 
     c^lambda_(mu1..muk) = sum_eta L[eta,lambda] * prod_j K[mu_j, eta].
 
+Every denominator of L[eta, .] divides the norm a_eta, whose irreducible
+factors are known (macdonald.norm_factors). So each sum is taken over a
+common denominator built from those factors and reduced once, by exact
+division, with no polynomial gcd; a caller's table whose L denominators
+do not divide the norms is rejected with ValueError.
+
 The adjoint operators psi_F are diagonal in the Macdonald basis; with
 F = e_n this is the nabla operator of Bergeron and Garsia, whose pairing
 against e_n produces the higher (q,t)-Catalan numbers.
@@ -14,11 +20,14 @@ against e_n produces the higher (q,t)-Catalan numbers.
 
 from __future__ import annotations
 
-from .coeffring import Polynomial, rf
+from functools import lru_cache
+
+from .coeffring import P_ONE, P_ZERO, Polynomial, reduce_by_factors, rf
 from .macdonald import (
     build_table,
     corner_free_product,
     derived,
+    norm_factors,
     phi_weight,
 )
 from .partitions import Partition
@@ -64,21 +73,57 @@ def _registered_coefficients(factors):
 
 
 def _structure_coefficients(factors, table):
+    # Each K~^-1 denominator divides a_eta; every term is brought over the
+    # per-factor maximum of its target's denominators and the sum is
+    # reduced once by trial division.
     products = {}
     for eta in table.partitions:
-        term = rf(1)
+        term = P_ONE
         for mu in factors:
-            term = term * table.kostka_entry(mu, eta)
+            term = term * table.kostka_entry(mu, eta).as_polynomial()
         products[eta] = term
     out = {}
     for target in table.partitions:
-        acc = rf(0)
+        terms = []
+        common = {}
         for eta in table.partitions:
             entry = table.kostka_inverse_entry(eta, target)
-            if not (entry.is_zero() or products[eta].is_zero()):
-                acc = acc + entry * products[eta]
-        out[target] = acc
+            if entry.is_zero() or products[eta].is_zero():
+                continue
+            mult = dict(_den_multiplicities(entry.den, eta))
+            terms.append((entry.num * products[eta], mult))
+            for f, m in mult.items():
+                common[f] = max(common.get(f, 0), m)
+        num = P_ZERO
+        for term, mult in terms:
+            for f, m in common.items():
+                extra = m - mult.get(f, 0)
+                if extra:
+                    term = term * f**extra
+            num = num + term
+        out[target] = reduce_by_factors(num, common)
     return out
+
+
+@lru_cache(maxsize=None)
+def _den_multiplicities(den, eta):
+    """((f, m), ...) with den = prod f^m over the irreducible factors f of
+    the norm a_eta; ValueError when den does not divide a_eta."""
+    rest = den
+    out = []
+    for f, m in norm_factors(eta)[1]:
+        k = 0
+        while k < m:
+            try:
+                rest = rest.divexact(f)
+            except ValueError:
+                break
+            k += 1
+        if k:
+            out.append((f, k))
+    if rest != P_ONE:
+        raise ValueError("denominator %s does not divide the norm of %s" % (den, eta))
+    return tuple(out)
 
 
 def structure_coefficient(factors, target, table=None):

@@ -15,6 +15,11 @@ of degree-n power sums:
 Any violation raises SingularSystem. The table bundles the Schur-basis
 transition matrix (the modified Kostka polynomials), its inverse, and
 the squared norms for the (q,t)-Hall pairing.
+
+The norms a_eta are products of binomials q^A - t^B whose irreducible
+factors are known in closed form (norm_factors). Each inverse entry is
+a polynomial pairing over a_eta, reduced by dividing out those factors
+one at a time, with no polynomial gcd.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffring import Polynomial, rf
+from .coeffring import P_ZERO, Polynomial, binomial_factors, reduce_by_factors, rf
 from .linalg import SingularSystem
 from .partitions import Partition, dominance_leq, partitions_of
 from .plethysm import AlphabetExpr, substitute, z_diagonal
@@ -232,20 +237,22 @@ def finish_table(n, htilde, kostka, norms):
     with the inverse Kostka matrix computed from them."""
     parts = partitions_of(n)
     # Orthogonality turns inversion into pairings: the coefficient of the
-    # Macdonald element H_eta in s_lam is (s_lam, H_eta)^{q,t} / a_eta.
+    # Macdonald element H_eta in s_lam is (s_lam, H_eta)^{q,t} / a_eta. The
+    # pairing is a polynomial, reduced against the known factors of a_eta.
     kostka_inv = {}
     for eta in parts:
+        unit, factors = norm_factors(eta)
+        factors = dict(factors)
         scaled = {
-            kappa: c * rf(qt_factor(kappa)) for kappa, c in htilde[eta].items()
+            kappa: c.as_polynomial() * qt_factor(kappa) for kappa, c in htilde[eta].items()
         }
-        inv_norm = norms[eta].inverse()
         for lam in parts:
-            acc = rf(0)
+            num = P_ZERO
             for kappa, c in scaled.items():
                 chi = mn_character(lam, kappa)
                 if chi:
-                    acc = acc + c * chi
-            kostka_inv[(eta, lam)] = acc * inv_norm
+                    num = num + c.scale(chi)
+            kostka_inv[(eta, lam)] = reduce_by_factors(num, factors, unit)
     return MacdonaldTable(n, parts, htilde, kostka, kostka_inv, norms)
 
 
@@ -292,6 +299,28 @@ def norm_product(lam):
         l = lam.leg(i, j)
         out = out * (_Q ** (a + 1) - _T**l) * (_Q**a - _T ** (l + 1))
     return out
+
+
+@lru_cache(maxsize=None)
+def norm_factors(lam):
+    """(unit, ((f, m), ...)) with norm_product(lam) = unit * prod f^m.
+
+    Each cell's two binomials are split into irreducible factors over Q by
+    coeffring.binomial_factors; the f are distinct, primitive, with
+    positive leading coefficient, and unit is 1 or -1.
+    """
+    lam = Partition(lam)
+    unit = 1
+    mult = {}
+    for (i, j) in lam.cells():
+        a = lam.arm(i, j)
+        l = lam.leg(i, j)
+        for qexp, texp in ((a + 1, l), (a, l + 1)):
+            sign, factors = binomial_factors("q", qexp, "t", texp)
+            unit *= sign
+            for f in factors:
+                mult[f] = mult.get(f, 0) + 1
+    return unit, tuple(mult.items())
 
 
 def phi_weight(lam):

@@ -8,6 +8,7 @@ quick run but never raises them.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -422,7 +423,10 @@ SUITES = {
 
 
 def run_suite(suite, max_n=None, writer=print):
-    """Run a named suite; returns True when every check passed."""
+    """Run a named suite; returns True when every check passed.
+
+    After each criterion that runs, writes a line 'TIME  [n:label] x.xs'
+    with its wall time."""
     if suite not in SUITES:
         raise ValueError("unknown suite %r (choose from %s)" % (suite, sorted(SUITES)))
     all_ok = True
@@ -432,7 +436,9 @@ def run_suite(suite, max_n=None, writer=print):
         if cap < min_n:
             writer("SKIP  [%d:%s] needs --max-n >= %d" % (number, label, min_n))
             continue
+        start = time.perf_counter()
         results = func(max_n=cap)
+        elapsed = time.perf_counter() - start
         for name, ok, detail in results:
             status = "PASS" if ok else "FAIL"
             line = "%s  [%d:%s] %s" % (status, number, label, name)
@@ -440,4 +446,5 @@ def run_suite(suite, max_n=None, writer=print):
                 line += "  -- %s" % detail
             writer(line)
             all_ok = all_ok and ok
+        writer("TIME  [%d:%s] %.1fs" % (number, label, elapsed))
     return all_ok

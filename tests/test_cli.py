@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 
 import pytest
 
@@ -174,3 +175,9 @@ def test_verify_subcommand(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+    # one timing line per criterion that ran, after its results
+    lines = out.splitlines()
+    ran = [re.match(r"PASS  \[(\d+):", line).group(1) for line in lines if line.startswith("PASS")]
+    timed = [re.fullmatch(r"TIME  \[(\d+):[^\]]+\] \d+\.\ds", line).group(1)
+             for line in lines if line.startswith("TIME")]
+    assert timed == list(dict.fromkeys(ran)) == ["2", "3", "5"]

@@ -11,10 +11,14 @@ from qtsym.coeffring import (
     Polynomial,
     RationalFunction,
     _newton_interpolation,
+    binomial_factors,
     normalize_fraction,
     poly_gcd,
+    reduce_by_factors,
     rf,
 )
+from qtsym.macdonald import norm_factors, norm_product
+from qtsym.partitions import partitions_of
 
 q = Polynomial.var("q")
 t = Polynomial.var("t")
@@ -161,6 +165,53 @@ def test_hookfield_adams_and_specialize():
 def test_divexact_raises_on_inexact():
     with pytest.raises(ValueError):
         (q**2 + 1).divexact(q - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, small_polys, small_polys)
+def test_divexact_inverts_multiplication(a, b, r):
+    if b.is_zero():
+        return
+    assert (a * b).divexact(b) == a
+    if r and r.total_degree() < b.total_degree():
+        # a nonzero remainder of lower degree cannot be a multiple of b
+        with pytest.raises(ValueError):
+            (a * b + r).divexact(b)
+
+
+def test_binomial_factors_examples():
+    assert binomial_factors("q", 4, "t", 2) == (1, (q**2 - t, q**2 + t))
+    unit, factors = binomial_factors("q", 6, "t", 0)
+    assert unit == 1 and len(factors) == 4
+    assert factors[0] * factors[1] * factors[2] * factors[3] == q**6 - 1
+    unit, factors = binomial_factors("q", 0, "t", 3)
+    assert unit == -1 and factors == (t - 1, t**2 + t + 1)
+    assert binomial_factors("q", 2, "t", 3) == (-1, (t**3 - q**2,))
+    with pytest.raises(ValueError):
+        binomial_factors("q", 0, "t", 0)
+
+
+_ETAS = [eta for n in range(1, 5) for eta in partitions_of(n)]
+
+
+@st.composite
+def _reduction_cases(draw):
+    eta = draw(st.sampled_from(_ETAS))
+    num = draw(small_polys)
+    for f, m in norm_factors(eta)[1]:
+        num = num * f ** draw(st.integers(0, m))
+    return eta, num
+
+
+@settings(max_examples=80, deadline=None)
+@given(_reduction_cases())
+def test_reduce_by_factors_matches_gcd_reduction(case):
+    eta, num = case
+    unit, factors = norm_factors(eta)
+    got = reduce_by_factors(num, dict(factors), unit)
+    want = RationalFunction(num, norm_product(eta))
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 def test_rational_function_parse_round_trip():

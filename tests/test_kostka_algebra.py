@@ -98,6 +98,30 @@ def test_kostka_pair_identity():
                     assert lhs == rhs
 
 
+def test_kostka_pair_identity_degree_five():
+    # sum_lam c^lam_{mu,nu} K[lam,eta] = K[mu,eta] K[nu,eta] for all 28
+    # pairs at n=5, in polynomial arithmetic and without K^-1
+    table = build_table(5)
+    parts = partitions_of(5)
+    K = {key: c.as_polynomial() for key, c in table.kostka.items()}
+    for mu, nu in combinations_with_replacement(parts, 2):
+        c = {lam: v.as_polynomial() for lam, v in structure_coefficients_all([mu, nu]).items()}
+        for eta in parts:
+            lhs = Polynomial.const(0)
+            for lam in parts:
+                lhs = lhs + c[lam] * K[(lam, eta)]
+            assert lhs == K[(mu, eta)] * K[(nu, eta)], (mu, nu, eta)
+
+
+def test_structure_coefficients_reject_a_foreign_denominator():
+    real = build_table(2)
+    inv = dict(real.kostka_inv)
+    inv[(P(2), P(2))] = rf(1) / rf(q + t)
+    table = MacdonaldTable(2, real.partitions, real.htilde, real.kostka, inv, real.norms)
+    with pytest.raises(ValueError):
+        structure_coefficients_all([P(1, 1), P(2)], table)
+
+
 def test_degree_mismatch_rejected():
     with pytest.raises(ValueError):
         kostka_product(s_elem(P(2)), s_elem(P(3)))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtsym.coeffring import Polynomial, rf
+from qtsym.coeffring import Polynomial, poly_gcd, rf
 from qtsym.linalg import SingularSystem, solve_bareiss
 from qtsym.partitions import Partition, dominance_leq, partitions_of
 from qtsym.plethysm import AlphabetExpr, substitute
@@ -13,6 +13,7 @@ from qtsym.macdonald import (
     delta1,
     delta1_eigenvalue,
     evaluation_product,
+    norm_factors,
     norm_product,
     phi_weight,
     qt_norm_pairing,
@@ -218,3 +219,24 @@ def test_duality_sanity_dimensions():
                 assert value == dim
                 total += value * dim
             assert total == math.factorial(n)
+
+
+def test_norm_factors_multiply_to_the_norm_and_are_coprime():
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            unit, factors = norm_factors(lam)
+            assert unit in (1, -1)
+            prod = Polynomial.const(unit)
+            for f, m in factors:
+                prod = prod * f**m
+            assert prod == norm_product(lam), lam
+            for i, (f, _) in enumerate(factors):
+                for g, _ in factors[i + 1 :]:
+                    assert poly_gcd(f, g) == 1, (lam, f, g)
+
+
+def test_kostka_coefficients_are_stored_as_ints():
+    for n in range(1, 6):
+        for entry in build_table(n).kostka.values():
+            poly = entry.as_polynomial()
+            assert all(type(c) is int for c in poly.terms.values()), entry
