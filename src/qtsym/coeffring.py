@@ -1254,13 +1254,12 @@ def rf(text_or_value):
 
 @lru_cache(maxsize=None)
 def _cyclotomic(d):
-    """Integer coefficients of the d-th cyclotomic polynomial, lowest first."""
-    x = Polynomial.var("x")
-    out = x**d - 1
+    """The d-th cyclotomic polynomial in the indeterminate x."""
+    out = Polynomial.var("x", d) - 1
     for e in range(1, d):
         if d % e == 0:
-            out = out.divexact(Polynomial(("x",), {(i,): c for i, c in enumerate(_cyclotomic(e))}))
-    return tuple(out.terms.get((i,), 0) for i in range(out.degree_in("x") + 1))
+            out = out.divexact(_cyclotomic(e))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -1282,11 +1281,10 @@ def binomial_factors(x, a, y, b):
     for d in range(1, g + 1):
         if g % d:
             continue
-        coeffs = _cyclotomic(d)
-        top = len(coeffs) - 1
+        phi = _cyclotomic(d)
+        top = phi.degree_in("x")
         f = Polynomial(
-            (x, y),
-            {(a // g * i, b // g * (top - i)): c for i, c in enumerate(coeffs) if c},
+            (x, y), {(a // g * i, b // g * (top - i)): c for (i,), c in phi.terms.items()}
         )
         if f.leading()[1] < 0:
             f = -f
@@ -1296,9 +1294,10 @@ def binomial_factors(x, a, y, b):
 
 
 def reduce_by_factors(num, factors, unit=1):
-    """num / (unit * prod f^m over factors.items()) as a reduced RationalFunction.
+    """num / (unit * prod f^m over the pairs (f, m) in factors) as a reduced
+    RationalFunction.
 
-    The factors must be distinct irreducible polynomials, each primitive
+    The f must be distinct irreducible polynomials, each primitive
     with positive leading coefficient, and unit a nonzero rational. Each
     factor is divided out of num for as long as it divides; what is left
     of the denominator is coprime to the numerator, so no gcd is needed.
@@ -1306,7 +1305,7 @@ def reduce_by_factors(num, factors, unit=1):
     if num.is_zero():
         return RF_ZERO
     den = P_ONE
-    for f, m in factors.items():
+    for f, m in factors:
         while m:
             try:
                 num = num.divexact(f)

@@ -101,7 +101,7 @@ def _structure_coefficients(factors, table):
                 if extra:
                     term = term * f**extra
             num = num + term
-        out[target] = reduce_by_factors(num, common)
+        out[target] = reduce_by_factors(num, common.items())
     return out
 
 

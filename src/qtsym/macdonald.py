@@ -242,7 +242,6 @@ def finish_table(n, htilde, kostka, norms):
     kostka_inv = {}
     for eta in parts:
         unit, factors = norm_factors(eta)
-        factors = dict(factors)
         scaled = {
             kappa: c.as_polynomial() * qt_factor(kappa) for kappa, c in htilde[eta].items()
         }

@@ -208,7 +208,7 @@ def _reduction_cases(draw):
 def test_reduce_by_factors_matches_gcd_reduction(case):
     eta, num = case
     unit, factors = norm_factors(eta)
-    got = reduce_by_factors(num, dict(factors), unit)
+    got = reduce_by_factors(num, factors, unit)
     want = RationalFunction(num, norm_product(eta))
     assert got == want
     assert repr(got) == repr(want)
