@@ -10,8 +10,22 @@ Coefficients are stored as plain ints whenever the value is integral and
 as Fraction otherwise; integer fast paths matter because the table
 solves and kernel assembly do millions of coefficient operations.
 
+RationalFunction reduces by poly_gcd, through gcd_cofactors. Gcds in two
+indeterminates, which is all of the engine's (q,t) and (Z,W) traffic,
+take Brown's evaluation-interpolation route on dense integer arrays:
+each input is cleared of its rational content and becomes rows in x over
+Z[y] once, and the y-content, the images, the univariate gcds, the
+interpolation and the certifying trial division all run on int lists.
+The sample points start at 2 and skip 0 and +-1, which are roots of the
+hook binomials Z^a - W^b and give images of too high a degree. The
+certifying division yields a/g and b/g, which _reduce_fraction and
+RationalFunction.__add__ and __mul__ use instead of dividing again.
+Three or more indeterminates take the primitive PRS, which is also the
+last resort of the bivariate route and the reference its tests compare
+against; gcd_path_counts() tells how many gcds took each path.
+
 Values are immutable after construction and safe to share between
-threads.
+threads; the gcd path counts are process-wide diagnostics.
 """
 
 from __future__ import annotations
@@ -19,7 +33,10 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd as _int_gcd
+from math import lcm as _int_lcm
+from operator import add, neg, sub
 
 
 class PoleError(ArithmeticError):
@@ -230,21 +247,14 @@ class Polynomial:
             return NotImplemented
         vs, ta, tb = self._align(other)
         if len(vs) == 1 and ta and tb:
-            la = _dense_from_terms(ta)
-            lb = _dense_from_terms(tb)
-            out = [0] * (len(la) + len(lb) - 1)
-            for i, a in enumerate(la):
-                if a:
-                    for j, b in enumerate(lb):
-                        if b:
-                            out[i + j] += a * b
+            out = _intlist_mul(_dense_from_terms(ta), _dense_from_terms(tb))
             return Polynomial._raw(vs, {(i,): _normc(c) for i, c in enumerate(out) if c})
         out = {}
         if len(ta) > len(tb):
             ta, tb = tb, ta
         for ea, ca in ta.items():
             for eb, cb in tb.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 c = ca * cb
                 prev = out.get(e)
                 if prev is None:
@@ -372,7 +382,7 @@ class Polynomial:
         # Max-heap on graded-lex order of the remainder's exponents. A term
         # that cancels stays in the heap and is skipped when popped; every
         # exponent in rem has at least one entry.
-        heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
+        heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
         heapq.heapify(heap)
         quo = {}
         while rem:
@@ -380,17 +390,17 @@ class Polynomial:
             c = rem.pop(lead_r, None)
             if c is None:
                 continue
-            diff = tuple(x - y for x, y in zip(lead_r, lead_b))
+            diff = tuple(map(sub, lead_r, lead_b))
             if any(d < 0 for d in diff):
                 raise ValueError("not an exact polynomial division")
             c = _exact_div(c, cb)
             quo[diff] = c
             for eb, k in tail_b:
-                e = tuple(x + y for x, y in zip(diff, eb))
+                e = tuple(map(add, diff, eb))
                 prev = rem.get(e)
                 if prev is None:
                     rem[e] = _normc(-c * k)
-                    heapq.heappush(heap, (-sum(e), tuple(-x for x in e), e))
+                    heapq.heappush(heap, (-sum(e), tuple(map(neg, e)), e))
                 else:
                     s = prev - c * k
                     if s:
@@ -635,7 +645,7 @@ def _strip_monomial(p, mins):
     if mins is None or not any(mins):
         return p
     return Polynomial._raw(
-        p.vars, {tuple(a - b for a, b in zip(e, mins)): c for e, c in p.terms.items()}
+        p.vars, {tuple(map(sub, e, mins)): c for e, c in p.terms.items()}
     )
 
 
@@ -643,7 +653,7 @@ def _poly_content_in(p, main):
     parts = _split_main(p, main)
     g = P_ZERO
     for c in parts.values():
-        g = poly_gcd(g, c)
+        g = _gcd(g, c)[1]
         if not g.is_zero() and g.is_constant():
             return P_ONE
     return g
@@ -675,15 +685,8 @@ def _pseudo_rem(a, b, main):
     return _join_main(r, main) if r else P_ZERO
 
 
-def _dense_int_list(p, var):
-    """Dense integer coefficient list (low to high) of a univariate p,
-    after clearing the rational content."""
-    prim = p.primitive()
-    i = prim.vars.index(var)
-    out = [0] * (prim.degree_in(var) + 1)
-    for e, c in prim.terms.items():
-        out[e[i]] = _normc(c)
-    return out
+# Integer coefficient lists, lowest degree first; [] is zero. Bivariate
+# polynomials are "rows": a list over the x-exponent of lists in y.
 
 
 def _intlist_normalize(A):
@@ -725,153 +728,287 @@ def _intlist_gcd(A, B):
     return A
 
 
-def _newton_interpolation(points, values):
-    """Exact ascending coefficients of the interpolating polynomial."""
-    m = len(points)
-    table = [Fraction(v) for v in values]
-    dd = [table[0]]
-    for level in range(1, m):
-        table = [
-            (table[i + 1] - table[i]) / (points[i + level] - points[i])
-            for i in range(m - level)
-        ]
-        dd.append(table[0])
-    out = [Fraction(0)] * m
-    acc = [Fraction(1)]
-    for i in range(m):
-        for j, c in enumerate(acc):
-            out[j] += dd[i] * c
-        if i < m - 1:
-            nxt = [Fraction(0)] * (len(acc) + 1)
-            for j, c in enumerate(acc):
-                nxt[j] -= c * points[i]
-                nxt[j + 1] += c
-            acc = nxt
+def _intlist_mul(A, B):
+    """Product of coefficient lists (ints, or Fractions for Polynomial)."""
+    if not A or not B:
+        return []
+    out = [0] * (len(A) + len(B) - 1)
+    for i, a in enumerate(A):
+        if a:
+            for j, b in enumerate(B):
+                out[i + j] += a * b
     return out
 
 
-def _eval_intlist(coeffs_by_y, y0):
-    """coeffs_by_y: dict yexp -> int; evaluate at integer y0."""
-    out = 0
-    for j, c in coeffs_by_y.items():
-        out += c * y0**j
-    return out
-
-
-def _gcd_bivariate(a, b, xvar, yvar):
-    """Evaluation-interpolation gcd for two truly bivariate polynomials.
-
-    Samples y at integers, takes fast univariate gcds in x, interpolates
-    the coefficients, and certifies by trial division. Returns None when
-    sampling fails (caller falls back to the subresultant route).
-    """
-    aligned = tuple(sorted((xvar, yvar), key=_var_key))
-    xi = aligned.index(xvar)
-    yi = 1 - xi
-
-    def split(p):
-        # dict xexp -> {yexp: int}, after clearing rational content
-        prim = p.primitive()
-        idx = {v: k for k, v in enumerate(prim.vars)}
-        out = {}
-        for e, c in prim.terms.items():
-            ex = e[idx[xvar]] if xvar in idx else 0
-            ey = e[idx[yvar]] if yvar in idx else 0
-            out.setdefault(ex, {})[ey] = _normc(c)
-        return out
-
-    sa = split(a)
-    sb = split(b)
-    dxa, dxb = max(sa), max(sb)
-    dya = max(max(d) for d in sa.values())
-    dyb = max(max(d) for d in sb.values())
-    la = sa[dxa]
-    lb = sb[dxb]
-    gamma = _intlist_gcd(
-        [la.get(j, 0) for j in range(max(la) + 1)],
-        [lb.get(j, 0) for j in range(max(lb) + 1)],
-    )
-    n_points = min(dya, dyb) + len(gamma) + 1
-    samples = []
-    points = []
-    dmin = None
-    y0 = 0
-    attempts = 0
-    while len(points) < n_points:
-        attempts += 1
-        if attempts > 4 * n_points + 20:
-            return None
-        y0 = -y0 + (1 if y0 <= 0 else 0)  # 0, 1, -1, 2, -2, ...
-        if _eval_intlist(la, y0) == 0 or _eval_intlist(lb, y0) == 0:
-            continue
-        fa = [0] * (dxa + 1)
-        for ex, cs in sa.items():
-            fa[ex] = _eval_intlist(cs, y0)
-        fb = [0] * (dxb + 1)
-        for ex, cs in sb.items():
-            fb[ex] = _eval_intlist(cs, y0)
-        g0 = _intlist_gcd(fa, fb)
-        deg = len(g0) - 1
-        if deg == 0:
-            # coprime in x: gcd has no x part; it divides both contents,
-            # which were stripped by the caller
-            return P_ONE
-        if dmin is None or deg < dmin:
-            dmin = deg
-            samples = []
-            points = []
-        if deg > dmin:
-            continue
-        scale = Fraction(_eval_gamma(gamma, y0), g0[-1])
-        samples.append([c * scale for c in g0])
-        points.append(Fraction(y0))
-    terms = {}
-    for i in range(dmin + 1):
-        coeffs = _newton_interpolation(points, [s[i] for s in samples])
-        for j, c in enumerate(coeffs):
-            if c:
-                e = [0, 0]
-                e[xi] = i
-                e[yi] = j
-                terms[tuple(e)] = c
-    candidate = Polynomial(aligned, terms)
-    # strip any leftover y-only content before certifying
-    ycont = _poly_content_in(candidate, xvar)
-    if not ycont.is_constant():
-        candidate = candidate.divexact(ycont)
-    candidate = candidate.primitive()
-    try:
-        a.divexact(candidate)
-        b.divexact(candidate)
-    except ValueError:
+def _intlist_quo(A, B):
+    """A / B for integer lists, B nonzero without trailing zeros; None
+    unless the quotient exists and is integral."""
+    if B == [1]:
+        return list(A)
+    db = len(B) - 1
+    dq = len(A) - 1 - db
+    if dq < 0:
+        return [] if not any(A) else None
+    lead = B[-1]
+    R = list(A)
+    Q = [0] * (dq + 1)
+    for i in range(dq, -1, -1):
+        c = R[i + db]
+        if c:
+            qc, r = divmod(c, lead)
+            if r:
+                return None
+            Q[i] = qc
+            for j, k in enumerate(B):
+                R[i + j] -= qc * k
+    if any(R[:db]):
         return None
-    return candidate
+    while Q and not Q[-1]:
+        Q.pop()
+    return Q
 
 
-def _eval_gamma(gamma, y0):
+def _horner(A, y0):
     out = 0
-    for j, c in enumerate(gamma):
-        out += c * y0**j
+    for c in reversed(A):
+        out = out * y0 + c
     return out
 
 
-def poly_gcd(a, b):
-    """A gcd of a and b, primitive with positive graded-lex leading coeff."""
-    if a.is_zero():
-        return b.primitive()
-    if b.is_zero():
-        return a.primitive()
-    if a.is_constant() or b.is_constant():
-        return P_ONE
-    if a is b or a == b:
-        return a.primitive()
+def _rows_quo(A, G):
+    """Rows of A / G in Z[y][x], G's leading row without trailing zeros;
+    None unless G divides A."""
+    dg = len(G) - 1
+    dq = len(A) - 1 - dg
+    if dq < 0:
+        return None
+    lead = G[-1]
+    R = [list(r) for r in A]
+    Q = [[] for _ in range(dq + 1)]
+    for k in range(dq, -1, -1):
+        top = R[k + dg]
+        while top and not top[-1]:
+            top.pop()
+        if not top:
+            continue
+        qk = _intlist_quo(top, lead)
+        if qk is None:
+            return None
+        Q[k] = qk
+        for j, gj in enumerate(G):
+            row = R[k + j]
+            prod = _intlist_mul(qk, gj)
+            if len(row) < len(prod):
+                row.extend([0] * (len(prod) - len(row)))
+            for i, c in enumerate(prod):
+                row[i] -= c
+    if any(any(r) for r in R[:dg]):
+        return None
+    return Q
 
-    a = a.canonical()
-    b = b.canonical()
-    if len(a.vars) == 1 and a.vars == b.vars:
-        var = a.vars[0]
-        g = _intlist_gcd(_dense_int_list(a, var), _dense_int_list(b, var))
-        return Polynomial((var,), {(i,): c for i, c in enumerate(g) if c})
+
+def _split_rows(p, x, y):
+    """(c, rows) with p = c * sum rows[i](y) x^i, c rational and the rows
+    coprime integer lists with positive graded-lex leading coefficient."""
+    c = p.content_signed()
+    num, den = c.numerator, c.denominator
+    terms = p.terms if num == den == 1 else {e: k * den // num for e, k in p.terms.items()}
+    if p.vars == (x, y):
+        pairs = terms.items()
+    elif p.vars == (y, x):
+        pairs = (((i, j), k) for (j, i), k in terms.items())
+    elif p.vars == (x,):
+        pairs = (((i, 0), k) for (i,), k in terms.items())
+    else:
+        pairs = (((0, j), k) for (j,), k in terms.items())
+    by_x = {}
+    for (i, j), k in pairs:
+        by_x.setdefault(i, {})[j] = k
+    rows = [[] for _ in range(max(by_x) + 1)]
+    for i, row in by_x.items():
+        r = rows[i] = [0] * (max(row) + 1)
+        for j, k in row.items():
+            r[j] = k
+    return c, rows
+
+
+def _rows_primitive(A):
+    """(content, rows / content): the y-content as a primitive integer list."""
+    cont = []
+    for r in A:
+        if r:
+            cont = _intlist_gcd(cont, r)
+            if len(cont) == 1:
+                return [1], A
+    return cont, [_intlist_quo(r, cont) if r else r for r in A]
+
+
+def _rows_poly(rows, x, y, scale=1):
+    """scale * sum over i of rows[i](y) * x^i, in the indeterminates it uses."""
+    scale = _normc(scale)
+    terms = {}
+    for i, r in enumerate(rows):
+        for j, c in enumerate(r):
+            if c:
+                terms[(i, j)] = c * scale if type(scale) is int else _normc(c * scale)
+    if y is None:
+        return Polynomial._raw((x,), {(i,): c for (i, _), c in terms.items()})
+    if _var_key(y) < _var_key(x):
+        return Polynomial._raw((y, x), {(j, i): c for (i, j), c in terms.items()}).canonical()
+    return Polynomial._raw((x, y), terms).canonical()
+
+
+def _brown_gcd(a, b, names):
+    """(g, a/g, b/g) for canonical a, b in the one or two indeterminates
+    names, by evaluation and interpolation on integer arrays (Brown,
+    J. ACM 18, 1971); None when no candidate is certified within the
+    sampling budget of _interpolated_gcd, and the caller then takes the
+    primitive PRS.
+
+    y is the indeterminate of smaller degree, so fewer points are needed;
+    with one indeterminate there is no y and every row is a constant.
+    Each argument becomes rows in x over Z[y] once, after its rational
+    content is cleared, and its y-content is split off. The images at
+    y = 2, -2, 3, -3, ... are univariate gcds, scaled to the gcd gamma of
+    the leading rows, and interpolated. The points skip 0 and +-1: they
+    are roots of the hook binomials Z^a - W^b, so images there have too
+    high a degree (gcd((ZW)^2 - 1, W^2 - 1) = 1, but both images at
+    Z = +-1 are W^2 - 1). The trial divisions that certify the candidate
+    give the cofactors.
+    """
+    if len(names) == 1:
+        x, y = names[0], None
+    else:
+        y = min(names, key=lambda v: min(a.degree_in(v), b.degree_in(v)))
+        x = names[0] if y == names[1] else names[1]
+    ka, A = _split_rows(a, x, y)
+    kb, B = _split_rows(b, x, y)
+    ca, A = _rows_primitive(A)
+    cb, B = _rows_primitive(B)
+    gc = _intlist_gcd(ca, cb)
+    if len(A) == 1 or len(B) == 1:
+        G, QA, QB = [[1]], A, B
+    else:
+        found = _interpolated_gcd(A, B)
+        if found is None:
+            return None
+        G, QA, QB = found
+    if G == [[1]] and gc == [1]:
+        return P_ONE, a, b
+    g = _rows_poly([_intlist_mul(gc, r) for r in G], x, y)
+    if g.leading()[1] < 0:
+        g, ka, kb = -g, -ka, -kb
+    ca = _intlist_quo(ca, gc)
+    cb = _intlist_quo(cb, gc)
+    return (
+        g,
+        _rows_poly([_intlist_mul(ca, r) for r in QA], x, y, ka),
+        _rows_poly([_intlist_mul(cb, r) for r in QB], x, y, kb),
+    )
+
+
+def _interpolated_gcd(A, B):
+    """(G, A/G, B/G) for rows A, B, each primitive in x of x-degree >= 1,
+    with G their gcd; None when too many points fail.
+
+    Points where a leading row vanishes are skipped. Images of lowest
+    degree are kept; one of degree 0 proves the gcd is 1. The candidate
+    is gamma * G / lc(G), of y-degree at most min(deg_y A, deg_y B) +
+    deg gamma, so that many points plus one give it once every kept image
+    has the degree of G. A candidate that does not divide A and B proves
+    that its images were all unlucky (their degree is too high), so
+    sampling goes on below that degree.
+    """
+    la, lb = A[-1], B[-1]
+    gamma = _intlist_gcd(la, lb)
+    n_points = min(max(map(len, A)), max(map(len, B))) - 1 + len(gamma)
+    points = []
+    images = []
+    bound = len(A)
+    for tried, y0 in enumerate(_sample_points()):
+        if tried == 4 * n_points + 20:
+            return None
+        if not _horner(la, y0) or not _horner(lb, y0):
+            continue
+        g0 = _intlist_gcd([_horner(r, y0) for r in A], [_horner(r, y0) for r in B])
+        d = len(g0) - 1
+        if d == 0:
+            return [[1]], A, B
+        if d >= bound:
+            continue
+        if images and d < len(images[0][0]) - 1:
+            points, images = [], []
+        elif images and d > len(images[0][0]) - 1:
+            continue
+        images.append((g0, _horner(gamma, y0)))
+        points.append(y0)
+        if len(points) == n_points:
+            G = _interpolate_rows(points, images)
+            QA = _rows_quo(A, G)
+            QB = _rows_quo(B, G) if QA is not None else None
+            if QB is not None:
+                return G, QA, QB
+            bound, points, images = d, [], []
+
+
+def _interpolate_rows(points, images):
+    """Primitive integer rows; row i interpolates the images' x^i
+    coefficients, each image (g0, v) standing for g0 * v / lc(g0).
+
+    Lagrange form: the basis prod_{j != k} (y - p_j) is shared by every
+    row, and one common denominator keeps all sums integral.
+    """
+    full = [1]
+    for p in points:
+        full = _intlist_mul(full, [-p, 1])
+    m = len(points)
+    basis = []
+    weights = []
+    for (g0, v), p in zip(images, points):
+        N = [0] * m
+        c = 0
+        for j in range(m, 0, -1):
+            c = full[j] + c * p
+            N[j - 1] = c
+        basis.append(N)
+        weights.append(Fraction(v, g0[-1] * _horner(N, p)))
+    den = 1
+    for w in weights:
+        den = _int_lcm(den, w.denominator)
+    weights = [w.numerator * (den // w.denominator) for w in weights]
+    rows = []
+    for i in range(len(images[0][0])):
+        r = [0] * m
+        for (g0, _), w, N in zip(images, weights, basis):
+            c = g0[i] * w
+            if c:
+                for j, k in enumerate(N):
+                    r[j] += c * k
+        rows.append(r)
+    g = 0
+    for r in rows:
+        for c in r:
+            g = _int_gcd(g, c)
+    rows = [[c // g for c in r] for r in rows]
+    for r in rows:
+        while r and not r[-1]:
+            r.pop()
+    return _rows_primitive(rows)[1]
+
+
+def _sample_points():
+    """2, -2, 3, -3, ..."""
+    for k in count(2):
+        yield k
+        yield -k
+
+
+def _gcd_prs(a, b):
+    """Gcd of canonical, non-constant a and b by the primitive PRS
+    (pseudo-remainder sequence) in one indeterminate, with contents taken
+    recursively. It is the route for three or more indeterminates, the
+    last resort of the bivariate route, and the reference the tests hold
+    that route to."""
     mina = _monomial_content(a)
     minb = _monomial_content(b)
     av, bv = set(a.vars), set(b.vars)
@@ -894,29 +1031,13 @@ def poly_gcd(a, b):
     shared = sorted(set(a.vars) & set(b.vars), key=_var_key)
     if not shared:
         return mono_poly
-    union = sorted(set(a.vars) | set(b.vars), key=_var_key)
-    if len(union) == 2:
-        # evaluation-interpolation route; fewer sample points when the
-        # interpolated variable has the smaller degree
-        yvar = min(union, key=lambda v: min(a.degree_in(v), b.degree_in(v)))
-        xvar = union[0] if yvar == union[1] else union[1]
-        cont_a = _poly_content_in(a, xvar)
-        cont_b = _poly_content_in(b, xvar)
-        pa = a.divexact(cont_a) if not cont_a.is_constant() else a
-        pb = b.divexact(cont_b) if not cont_b.is_constant() else b
-        g_cont = poly_gcd(cont_a, cont_b)
-        if pa.is_constant() or pb.is_constant():
-            return (mono_poly * g_cont).primitive()
-        g2 = _gcd_bivariate(pa, pb, xvar, yvar)
-        if g2 is not None:
-            return (mono_poly * g_cont * g2).primitive()
     main = min(shared, key=lambda v: max(a.degree_in(v), b.degree_in(v)))
 
     cont_a = _poly_content_in(a, main)
     cont_b = _poly_content_in(b, main)
     pa = a.divexact(cont_a) if not cont_a.is_constant() else a
     pb = b.divexact(cont_b) if not cont_b.is_constant() else b
-    g_cont = poly_gcd(cont_a, cont_b)
+    g_cont = _gcd(cont_a, cont_b)[1]
 
     if pa.degree_in(main) < pb.degree_in(main):
         pa, pb = pb, pa
@@ -932,13 +1053,58 @@ def poly_gcd(a, b):
     cont_g = _poly_content_in(g, main)
     if not cont_g.is_constant():
         g = g.divexact(cont_g)
-    try:
-        a.divexact(g)
-        b.divexact(g)
-    except ValueError:
-        # primitive PRS guarantees divisibility; reaching this is a bug
-        raise AssertionError("gcd candidate does not divide inputs")
     return (mono_poly * g_cont * g).primitive()
+
+
+# How many top-level gcds took each path; read through gcd_path_counts().
+_GCD_PATHS = dict.fromkeys(("trivial", "univariate", "bivariate", "prs"), 0)
+
+
+def gcd_path_counts():
+    """Snapshot of how many top-level gcds took each path since import.
+
+    'trivial': an argument is zero or constant, or both are equal;
+    'univariate': both in one indeterminate; 'bivariate': the integer-array
+    evaluation-interpolation route; 'prs': the primitive PRS, taken for
+    three or more indeterminates and when the bivariate route certifies
+    no candidate. Gcds taken inside the PRS are not counted.
+    """
+    return dict(_GCD_PATHS)
+
+
+def poly_gcd(a, b):
+    """A gcd of a and b, primitive with positive graded-lex leading coeff."""
+    return gcd_cofactors(a, b)[0]
+
+
+def gcd_cofactors(a, b):
+    """(g, a/g, b/g) with g = poly_gcd(a, b); both cofactors are 0 when
+    a and b are."""
+    path, g, ca, cb = _gcd(a, b)
+    _GCD_PATHS[path] += 1
+    return g, ca, cb
+
+
+def _gcd(a, b):
+    """(path, g, a/g, b/g) for gcd_cofactors, without counting."""
+    if a.is_zero():
+        return "trivial", b.primitive(), P_ZERO, Polynomial.const(b.content_signed())
+    if b.is_zero():
+        return "trivial", a.primitive(), Polynomial.const(a.content_signed()), P_ZERO
+    if a.is_constant() or b.is_constant():
+        return "trivial", P_ONE, a, b
+    if a is b or a == b:
+        c = Polynomial.const(a.content_signed())
+        return "trivial", a.primitive(), c, c
+    a = a.canonical()
+    b = b.canonical()
+    names = sorted(set(a.vars) | set(b.vars), key=_var_key)
+    if len(names) <= 2:
+        out = _brown_gcd(a, b, names)
+        if out is not None:
+            return ("univariate" if len(names) == 1 else "bivariate",) + out
+    g = _gcd_prs(a, b)
+    return "prs", g, a.divexact(g), b.divexact(g)
 
 
 # -- rational functions -----------------------------------------------------
@@ -1011,14 +1177,12 @@ class RationalFunction:
             return RationalFunction(self.num * other.den + other.num, other.den, _reduced=True)
         if other.den == P_ONE:
             return RationalFunction(self.num + other.num * self.den, self.den, _reduced=True)
-        g = poly_gcd(self.den, other.den)
+        g, db, dd = gcd_cofactors(self.den, other.den)
         if g.is_constant():
             num = self.num * other.den + other.num * self.den
             den = self.den * other.den
             c = den.content_signed()
             return RationalFunction(num.scale(1 / c), den.scale(1 / c), _reduced=True)
-        db = self.den.divexact(g)
-        dd = other.den.divexact(g)
         num = self.num * dd + other.num * db
         den = db * other.den
         return RationalFunction(num, den)
@@ -1045,12 +1209,8 @@ class RationalFunction:
             return RF_ZERO
         if self.den == P_ONE and other.den == P_ONE:
             return RationalFunction(self.num * other.num, P_ONE, _reduced=True)
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if g1.is_constant() else self.num.divexact(g1)
-        d2 = other.den if g1.is_constant() else other.den.divexact(g1)
-        n2 = other.num if g2.is_constant() else other.num.divexact(g2)
-        d1 = self.den if g2.is_constant() else self.den.divexact(g2)
+        _, n1, d2 = gcd_cofactors(self.num, other.den)
+        _, n2, d1 = gcd_cofactors(other.num, self.den)
         num = n1 * n2
         den = d1 * d2
         c = den.content_signed()
@@ -1215,10 +1375,7 @@ def _reduce_fraction(num, den):
         if c == 1:
             return num, P_ONE
         return num.scale(Fraction(1) / c), P_ONE
-    g = poly_gcd(num, den)
-    if not g.is_constant():
-        num = num.divexact(g)
-        den = den.divexact(g)
+    _, num, den = gcd_cofactors(num, den)
     c = den.content_signed()
     if c != 1:
         num = num.scale(1 / c)

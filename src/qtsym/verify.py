@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from .coeffring import HookField, PoleError, Polynomial, rf
+from .coeffring import HookField, PoleError, Polynomial, gcd_path_counts, rf
 from .kernel import (
     cauchy_series,
     kernel,
@@ -426,7 +426,8 @@ def run_suite(suite, max_n=None, writer=print):
     """Run a named suite; returns True when every check passed.
 
     After each criterion that runs, writes a line 'TIME  [n:label] x.xs'
-    with its wall time."""
+    with its wall time, then 'GCD  [n:label] trivial=.. univariate=..
+    bivariate=.. prs=..' with the paths of the gcds it took."""
     if suite not in SUITES:
         raise ValueError("unknown suite %r (choose from %s)" % (suite, sorted(SUITES)))
     all_ok = True
@@ -437,8 +438,10 @@ def run_suite(suite, max_n=None, writer=print):
             writer("SKIP  [%d:%s] needs --max-n >= %d" % (number, label, min_n))
             continue
         start = time.perf_counter()
+        before = gcd_path_counts()
         results = func(max_n=cap)
         elapsed = time.perf_counter() - start
+        paths = " ".join("%s=%d" % (k, n - before[k]) for k, n in gcd_path_counts().items())
         for name, ok, detail in results:
             status = "PASS" if ok else "FAIL"
             line = "%s  [%d:%s] %s" % (status, number, label, name)
@@ -447,4 +450,5 @@ def run_suite(suite, max_n=None, writer=print):
             writer(line)
             all_ok = all_ok and ok
         writer("TIME  [%d:%s] %.1fs" % (number, label, elapsed))
+        writer("GCD  [%d:%s] %s" % (number, label, paths))
     return all_ok

@@ -181,3 +181,10 @@ def test_verify_subcommand(capsys):
     timed = [re.fullmatch(r"TIME  \[(\d+):[^\]]+\] \d+\.\ds", line).group(1)
              for line in lines if line.startswith("TIME")]
     assert timed == list(dict.fromkeys(ran)) == ["2", "3", "5"]
+    # each followed by the counts of the paths its gcds took
+    counted = [
+        re.fullmatch(r"GCD  \[(\d+):[^\]]+\] trivial=\d+ univariate=\d+ bivariate=\d+ prs=\d+",
+                     lines[i + 1]).group(1)
+        for i, line in enumerate(lines) if line.startswith("TIME")
+    ]
+    assert counted == timed

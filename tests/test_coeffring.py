@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtsym.coeffring import (
@@ -9,9 +9,13 @@ from qtsym.coeffring import (
     ParseError,
     PoleError,
     Polynomial,
+    P_ONE,
     RationalFunction,
-    _newton_interpolation,
+    _gcd_prs,
+    _interpolate_rows,
     binomial_factors,
+    gcd_cofactors,
+    gcd_path_counts,
     normalize_fraction,
     poly_gcd,
     reduce_by_factors,
@@ -283,21 +287,95 @@ def test_eval_poly_matches_naive_substitution(case):
     assert p.eval_poly(assignment) == _naive_eval(p, assignment)
 
 
+def _from_rows(rows):
+    """sum over i, j of rows[i][j] * Z^i * W^j."""
+    return Polynomial(
+        ("Z", "W"), {(i, j): c for i, r in enumerate(rows) for j, c in enumerate(r)}
+    )
+
+
+def _horner(r, y0):
+    return sum(c * y0**j for j, c in enumerate(r))
+
+
 @st.composite
 def _interpolation_cases(draw):
-    coeffs = draw(st.lists(_fractions, min_size=1, max_size=7))
-    n = len(coeffs)
-    points = draw(st.lists(_fractions, min_size=n, max_size=n + 2, unique=True))
-    return coeffs, points
+    rows = [draw(st.lists(st.integers(-5, 5), max_size=5)) for _ in range(draw(st.integers(1, 4)))]
+    rows[-1] = rows[-1] + [draw(st.integers(-5, 5).filter(bool))]
+    rows[draw(st.integers(0, len(rows) - 1))] = [draw(st.integers(-5, 5).filter(bool))]
+    n = max(map(len, rows))
+    points = draw(
+        st.lists(st.integers(-9, 9).filter(lambda p: _horner(rows[-1], p)),
+                 min_size=n, max_size=n + 2, unique=True)
+    )
+    return rows, points
 
 
 @settings(max_examples=100, deadline=None)
 @given(_interpolation_cases())
-def test_newton_interpolation_recovers_the_polynomial(case):
-    coeffs, points = case
-    values = [sum(c * x**i for i, c in enumerate(coeffs)) for x in points]
-    padded = coeffs + [Fraction(0)] * (len(points) - len(coeffs))
-    assert _newton_interpolation(points, values) == padded
+def test_interpolate_rows_recovers_the_polynomial(case):
+    rows, points = case
+    # an image (g0, v) stands for g0 * v / lc(g0); v = lc(g0) makes it g0, the value at p
+    images = [([_horner(r, p) for r in rows], _horner(rows[-1], p)) for p in points]
+    got = _from_rows(_interpolate_rows(points, images))
+    # one row is a nonzero constant, so the rows have no content in W
+    assert got.primitive() == _from_rows(rows).primitive()
+
+
+_ZW_FACTORS = sorted(
+    {f for a in range(4) for b in range(4) if a or b for f in binomial_factors("Z", a, "W", b)[1]},
+    key=str,
+)
+
+
+@st.composite
+def _zw_polys(draw, names):
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2) for _ in names]),
+            st.integers(-4, 4).filter(bool),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return Polynomial(names, terms)
+
+
+@st.composite
+def _gcd_cases(draw):
+    """a, b with a planted common factor: hook-binomial pieces times a
+    small random polynomial; b may lack one of the indeterminates."""
+    names_b = draw(st.sampled_from([("Z", "W"), ("Z",), ("W",)]))
+    pieces = [f for f in _ZW_FACTORS if set(f.canonical().vars) <= set(names_b)]
+    common = draw(_zw_polys(names_b))
+    for f in draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=2)):
+        common = common * f
+    a = common * draw(_zw_polys(("Z", "W"))) * draw(_fractions.filter(bool))
+    b = common * draw(_zw_polys(names_b))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gcd_cases())
+# coprime, but the image at Z = 2 is W + 1: the first candidate fails
+@example((1 - Z - W, (Z**2 - 1) * (W**2 - 1)))
+def test_gcd_matches_prs_route(case):
+    a, b = case
+    prs = gcd_path_counts()["prs"]
+    g, ca, cb = gcd_cofactors(a, b)
+    assert gcd_path_counts()["prs"] == prs
+    assert g == poly_gcd(a, b) == _gcd_prs(a.canonical(), b.canonical())
+    assert g == g.primitive() and g.leading()[1] > 0
+    assert g * ca == a and g * cb == b
+
+
+def test_hook_binomial_gcd_takes_no_prs_fallback():
+    # every image at Z = +-1 is W^2 - 1, yet the gcd is 1
+    before = gcd_path_counts()
+    assert poly_gcd((Z * W) ** 2 - 1, W**2 - 1) == P_ONE
+    after = gcd_path_counts()
+    assert after["prs"] == before["prs"]
+    assert after["bivariate"] == before["bivariate"] + 1
 
 
 def test_eval_poly_renaming_and_kept_variables():

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from qtsym.coeffring import HookField, Polynomial, rf
+from qtsym.coeffring import HookField, Polynomial, gcd_path_counts, rf
 from qtsym.kernel import (
     cauchy_series,
     hook_factor,
@@ -228,3 +228,13 @@ def test_specialized_kernels_are_cached_per_point_and_cleared():
     fresh = kernel(1, 1, 2, poincare_point())
     assert fresh is not at_v
     assert fresh == at_v
+
+
+def test_cauchy_series_takes_no_prs_fallback():
+    # the (degree 4, genus 1, one alphabet) series of the kernel-assembly benchmark
+    clear_tables()
+    before = gcd_path_counts()
+    cauchy_series(1, 1, 4)
+    after = gcd_path_counts()
+    assert after["bivariate"] > before["bivariate"]
+    assert after["prs"] == before["prs"]
