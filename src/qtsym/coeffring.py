@@ -7,8 +7,17 @@ hook numerators of the genus-g kernel live in once z^2, w^2 are renamed
 to Z, W.
 
 Coefficients are stored as plain ints whenever the value is integral and
-as Fraction otherwise; integer fast paths matter because the table
-solves and kernel assembly do millions of coefficient operations.
+as Fraction otherwise; integer fast paths matter because table building
+and kernel assembly do millions of coefficient operations.
+
+RationalFunction adds and multiplies by Henrici's rule (Knuth, TAOCP
+vol. 2, 4.5.1). With g = gcd(d1, d2), n1/d1 + n2/d2 is
+(n1 d2/g + n2 d1/g) / (d1/g * d2/g * g), and a common factor of that
+numerator and denominator can only divide g, because the inputs are
+reduced and d1/g, d2/g are coprime; so only g is reduced against. A
+product cross-cancels n1 against d2 and n2 against d1. Denominators
+stay primitive with positive leading coefficient without renormalizing,
+since the cofactors of such polynomials by such a gcd are too (Gauss).
 
 RationalFunction reduces by poly_gcd, through gcd_cofactors. Gcds in two
 indeterminates, which is all of the engine's (q,t) and (Z,W) traffic,
@@ -245,10 +254,11 @@ class Polynomial:
             return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
+        if len(other.terms) <= 1 and other.is_constant():
+            return self.scale(other.constant_value())
+        if len(self.terms) <= 1 and self.is_constant():
+            return other.scale(self.constant_value())
         vs, ta, tb = self._align(other)
-        if len(vs) == 1 and ta and tb:
-            out = _intlist_mul(_dense_from_terms(ta), _dense_from_terms(tb))
-            return Polynomial._raw(vs, {(i,): _normc(c) for i, c in enumerate(out) if c})
         out = {}
         if len(ta) > len(tb):
             ta, tb = tb, ta
@@ -275,14 +285,7 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = Polynomial.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, P_ONE)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -355,26 +358,6 @@ class Polynomial:
         if other.is_constant():
             return self.scale(Fraction(1) / other.constant_value())
         vs, ta, tb = self._align(other)
-        if len(vs) == 1 and ta:
-            la = _dense_from_terms(ta)
-            lb = _dense_from_terms(tb)
-            da, db = len(la) - 1, len(lb) - 1
-            if da < db:
-                raise ValueError("not an exact polynomial division")
-            lead = lb[db]
-            quo = [0] * (da - db + 1)
-            rem = list(la)
-            for i in range(da - db, -1, -1):
-                c = rem[db + i]
-                if c:
-                    qc = _exact_div(c, lead)
-                    quo[i] = qc
-                    for j in range(db + 1):
-                        if lb[j]:
-                            rem[i + j] -= qc * lb[j]
-            if any(rem):
-                raise ValueError("not an exact polynomial division")
-            return Polynomial._raw(vs, {(i,): _normc(c) for i, c in enumerate(quo) if c})
         lead_b = max(tb, key=lambda e: (sum(e), e))
         cb = tb[lead_b]
         tail_b = [(eb, k) for eb, k in tb.items() if eb != lead_b]
@@ -589,17 +572,19 @@ class Polynomial:
         return Polynomial(names, {tuple(varpart[v] for v in names): coeff})
 
 
-def _dense_from_terms(terms):
-    """Dense coefficient list for single-variable term dicts."""
-    deg = max(e[0] for e in terms)
-    out = [0] * (deg + 1)
-    for e, c in terms.items():
-        out[e[0]] = c
-    return out
-
-
 P_ZERO = Polynomial.const(0)
 P_ONE = Polynomial.const(1)
+
+
+def _power(base, n, one):
+    """base**n for an int n >= 0 by square-and-multiply, from one."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return out
 
 
 # -- multivariate gcd -------------------------------------------------------
@@ -729,7 +714,7 @@ def _intlist_gcd(A, B):
 
 
 def _intlist_mul(A, B):
-    """Product of coefficient lists (ints, or Fractions for Polynomial)."""
+    """Product of integer coefficient lists."""
     if not A or not B:
         return []
     out = [0] * (len(A) + len(B) - 1)
@@ -1171,21 +1156,16 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        if self.den == P_ONE:
-            return RationalFunction(self.num * other.den + other.num, other.den, _reduced=True)
-        if other.den == P_ONE:
-            return RationalFunction(self.num + other.num * self.den, self.den, _reduced=True)
-        g, db, dd = gcd_cofactors(self.den, other.den)
+        # Henrici's rule: with a1 = d1/g and a2 = d2/g, a common factor of
+        # num and a1*a2*g can only divide g (see the module docstring).
+        g, a1, a2 = gcd_cofactors(self.den, other.den)
+        num = self.num * a2 + other.num * a1
+        if num.is_zero():
+            return RF_ZERO
         if g.is_constant():
-            num = self.num * other.den + other.num * self.den
-            den = self.den * other.den
-            c = den.content_signed()
-            return RationalFunction(num.scale(1 / c), den.scale(1 / c), _reduced=True)
-        num = self.num * dd + other.num * db
-        den = db * other.den
-        return RationalFunction(num, den)
+            return RationalFunction(num, a1 * other.den, _reduced=True)
+        _, num, g = gcd_cofactors(num, g)
+        return RationalFunction(num, a1 * a2 * g, _reduced=True)
 
     __radd__ = __add__
 
@@ -1211,10 +1191,7 @@ class RationalFunction:
             return RationalFunction(self.num * other.num, P_ONE, _reduced=True)
         _, n1, d2 = gcd_cofactors(self.num, other.den)
         _, n2, d1 = gcd_cofactors(other.num, self.den)
-        num = n1 * n2
-        den = d1 * d2
-        c = den.content_signed()
-        return RationalFunction(num.scale(1 / c), den.scale(1 / c), _reduced=True)
+        return RationalFunction(n1 * n2, d1 * d2, _reduced=True)
 
     __rmul__ = __mul__
 
@@ -1239,14 +1216,7 @@ class RationalFunction:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(self, n, RF_ONE)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -1557,14 +1527,7 @@ class HookField:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("hook-field powers must be non-negative integers")
-        out = HookField(RF_ONE)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(self, n, HF_ONE)
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -63,13 +63,23 @@ def structure_coefficients_all(factors, table=None):
     if any(m.size != n for m in factors):
         raise ValueError("all factors must have equal size")
     if table is not None:
-        return _structure_coefficients(factors, table)
+        return _structure_coefficients(factors, _table_of_degree(n, table))
     return _registered_coefficients(factors)
 
 
 @derived
 def _registered_coefficients(factors):
     return _structure_coefficients(factors, build_table(factors[0].size))
+
+
+def _table_of_degree(n, table):
+    """table, or the registered degree-n table when table is None;
+    ValueError when a caller's table has another degree."""
+    if table is None:
+        return build_table(n)
+    if table.n != n:
+        raise ValueError("table has degree %d, operands have degree %d" % (table.n, n))
+    return table
 
 
 def _structure_coefficients(factors, table):
@@ -137,8 +147,7 @@ def structure_coefficient(factors, target, table=None):
 
 def macdonald_expansion(G, table=None):
     """Coefficients of G on the modified Macdonald basis."""
-    n = _require_degree(G)
-    table = table or build_table(n)
+    table = _table_of_degree(_require_degree(G), table)
     schur = expand1(G, "schur")
     out = {}
     for eta in table.partitions:
@@ -153,6 +162,7 @@ def macdonald_expansion(G, table=None):
 
 
 def from_macdonald_expansion(coeffs, table):
+    """sum over eta of H~_eta * coeffs[eta]: the inverse of macdonald_expansion."""
     out = SymFunc.zero(1)
     for eta, c in coeffs.items():
         out = out + table.htilde_sym(eta) * c
@@ -185,8 +195,7 @@ def kostka_product(F, G):
 
 def delta_sharp(G, table=None):
     """The coproduct: the Macdonald basis maps to its two-alphabet square."""
-    n = _require_degree(G)
-    table = table or build_table(n)
+    table = _table_of_degree(_require_degree(G), table)
     coeffs = macdonald_expansion(G, table)
     out = SymFunc.zero(2)
     for eta, c in coeffs.items():
@@ -204,13 +213,12 @@ def psi(F, G):
     if _require_degree(F) != n:
         raise ValueError("degree mismatch")
     table = build_table(n)
-    coeffs = macdonald_expansion(G, table)
-    out = SymFunc.zero(1)
-    for eta, c in coeffs.items():
+    weighted = {}
+    for eta, c in macdonald_expansion(G, table).items():
         eig = hall_scalar(F, table.htilde_sym(eta))
         if not eig.is_zero():
-            out = out + table.htilde_sym(eta) * (c * eig)
-    return out
+            weighted[eta] = c * eig
+    return from_macdonald_expansion(weighted, table)
 
 
 def nabla_eigenvalue(lam):
@@ -224,10 +232,9 @@ def nabla(G, power=1):
     n = _require_degree(G)
     table = build_table(n)
     coeffs = macdonald_expansion(G, table)
-    out = SymFunc.zero(1)
-    for eta, c in coeffs.items():
-        out = out + table.htilde_sym(eta) * (c * nabla_eigenvalue(eta) ** power)
-    return out
+    return from_macdonald_expansion(
+        {eta: c * nabla_eigenvalue(eta) ** power for eta, c in coeffs.items()}, table
+    )
 
 
 def qt_catalan(n, m=1):
@@ -258,9 +265,9 @@ def garsia_haiman_sum(n):
     Equals (-1)^(n-1) s_{1^n} exactly.
     """
     table = build_table(n)
-    out = SymFunc.zero(1)
+    weights = {}
     for lam in table.partitions:
         weight = rf(phi_weight(lam) * corner_free_product(lam)) / table.norm(lam)
         if not weight.is_zero():
-            out = out + table.htilde_sym(lam) * weight
-    return out * rf((_Q - 1) * (1 - _T))
+            weights[lam] = weight
+    return from_macdonald_expansion(weights, table) * rf((_Q - 1) * (1 - _T))

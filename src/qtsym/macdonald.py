@@ -34,8 +34,8 @@ from .plethysm import AlphabetExpr, substitute, z_diagonal
 from .symfunc import (
     SymFunc,
     _check_cap,
+    _pairing_p_h,
     e_elem,
-    hprod_to_p,
     m_to_p,
     mn_character,
     qt_factor,
@@ -86,17 +86,6 @@ class MacdonaldTable:
             and self.kostka_inv == other.kostka_inv
             and self.norms == other.norms
         )
-
-
-@lru_cache(maxsize=None)
-def _pairing_p_h(n):
-    """Matrix <p_kappa, h_mu> of integers, as nested dicts."""
-    out = {}
-    for mu in partitions_of(n):
-        row = hprod_to_p(mu)
-        for kappa, c in row.items():
-            out[(kappa, mu)] = c * kappa.z()
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -239,18 +239,21 @@ def _as_polynomial_in(value, varname, error=NegativeCoefficient):
     return poly
 
 
-def poincare(spec):
-    """Poincare polynomial (compactly supported intersection cohomology)."""
-    n = spec.rank
-    K = kernel(n, spec.genus, spec.points, poincare_point())
-    val = hall_scalar(schur_test_function(spec), K)
+def _v_scaled_pairing(T, spec):
+    """v^d <T, K_n(0, v)> with d = total_dim(spec); None when the pairing
+    is zero."""
+    val = hall_scalar(T, kernel(spec.rank, spec.genus, spec.points, poincare_point()))
     d = total_dim(spec)
     if val.is_zero():
+        return None
+    return val * rf(_V**d) if d >= 0 else val / rf(_V ** (-d))
+
+
+def poincare(spec):
+    """Poincare polynomial (compactly supported intersection cohomology)."""
+    val = _v_scaled_pairing(schur_test_function(spec), spec)
+    if val is None:
         return Polynomial.const(0)
-    if d >= 0:
-        val = val * rf(_V**d)
-    else:
-        val = val / rf(_V ** (-d))
     poly = _as_polynomial_in(val, "v")
     for c in poly.terms.values():
         if c < 0 or (isinstance(c, Fraction) and c.denominator != 1):
@@ -261,17 +264,11 @@ def poincare(spec):
 def twisted_poincare(spec, twist):
     """Trace generating polynomial of the twist on compactly supported
     cohomology, through the kernel pairing."""
-    n = spec.rank
     r, T = twisted_test_function(spec, twist)
-    K = kernel(n, spec.genus, spec.points, poincare_point())
-    val = hall_scalar(T, K)
-    d = total_dim(spec)
-    sign = -1 if r % 2 else 1
-    if val.is_zero():
+    val = _v_scaled_pairing(T, spec)
+    if val is None:
         return Polynomial.const(0)
-    val = val * rf(_V**d) if d >= 0 else val / rf(_V ** (-d))
-    poly = _as_polynomial_in(val * sign, "v")
-    return poly
+    return _as_polynomial_in(val * (-1 if r % 2 else 1), "v")
 
 
 def trace_configuration(mu, nu):
@@ -310,14 +307,17 @@ def _column_test_function(factors):
     return n, T
 
 
+def _column_sign(n, val):
+    """(-1)^(n-1) val: the sign of the column evaluators."""
+    return -val if (n - 1) % 2 else val
+
+
 def c_from_trace(mu, nu):
     """Column structure coefficient at q=0 via the twisted trace formula,
     as a polynomial in t."""
     n, T = _column_test_function((mu, nu))
     K = kernel(n, 0, 4, (rf(0), rf(_T), rf(0)))
-    val = hall_scalar(T, K)
-    if (n - 1) % 2:
-        val = -val
+    val = _column_sign(n, hall_scalar(T, K))
     return _as_polynomial_in(val, "t", error=ValueError) if not val.is_zero() else Polynomial.const(0)
 
 
@@ -330,20 +330,14 @@ def c_from_log(factors):
     comp = log_cauchy_series(0, T.k, n).component(n)
     val = hall_scalar(T, comp)
     val = val.rename({"Z": "q", "W": "t"})
-    val = val * rf((_Q - 1) * (1 - _T))
-    if (n - 1) % 2:
-        val = -val
-    return val
+    return _column_sign(n, val * rf((_Q - 1) * (1 - _T)))
 
 
 def mixed_hodge_rhs(mu, nu):
     """Conjectural column coefficient via the mixed-Hodge specialization."""
     n, T = _column_test_function((mu, nu))
     val = hall_scalar(T, kernel(n, 0, 4))
-    val = specialize_kernel(val, *mixed_hodge_point())
-    if (n - 1) % 2:
-        val = -val
-    return val
+    return _column_sign(n, specialize_kernel(val, *mixed_hodge_point()))
 
 
 def q1_rhs(mu, nu):
@@ -355,7 +349,4 @@ def q1_rhs(mu, nu):
     """
     n, T = _column_test_function((mu, nu))
     val = hall_scalar(T, kernel(n, 0, 4))
-    val = val.specialize({"Z": rf(1), "W": rf(_T)})
-    if (n - 1) % 2:
-        val = -val
-    return val
+    return _column_sign(n, val.specialize({"Z": rf(1), "W": rf(_T)}))

@@ -135,19 +135,24 @@ def eprod_to_p(mu):
 
 
 @lru_cache(maxsize=None)
+def _pairing_p_h(n):
+    """The integer matrix <p_kappa, h_mu>, as a dict (kappa, mu) -> value."""
+    out = {}
+    for mu in partitions_of(n):
+        for kappa, c in hprod_to_p(mu).items():
+            out[(kappa, mu)] = c * kappa.z()
+    return out
+
+
+@lru_cache(maxsize=None)
 def _m_matrix(n):
-    """Rows of m_mu in the power-sum basis, as nested dicts."""
+    """Rows of m_mu in the power-sum basis, as nested lists."""
     parts = partitions_of(n)
-    index = {p: i for i, p in enumerate(parts)}
-    size = len(parts)
-    m_rows = [[Fraction(0)] * size for _ in range(size)]
-    for nu in parts:
-        row = hprod_to_p(nu)
-        for kappa, c in row.items():
-            m_rows[index[nu]][index[kappa]] = c * kappa.z()
-    # m is dual to h: m_mu = sum_k B[mu][k] p_k with B = (M^T)^{-1}
-    transposed = [[m_rows[j][i] for j in range(size)] for i in range(size)]
-    inv = invert_matrix(transposed)
+    pairing = _pairing_p_h(n)
+    # m is dual to h: m_mu = sum_k B[mu][k] p_k with B = M^{-1}, M[k][mu] = <p_k, h_mu>
+    inv = invert_matrix(
+        [[pairing.get((kappa, mu), Fraction(0)) for mu in parts] for kappa in parts]
+    )
     return parts, inv
 
 

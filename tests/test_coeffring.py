@@ -378,6 +378,56 @@ def test_hook_binomial_gcd_takes_no_prs_fallback():
     assert after["bivariate"] == before["bivariate"] + 1
 
 
+@st.composite
+def _rf_operands(draw):
+    """Two reduced fractions x, y built by the constructor, with
+    denominators multiplied from hook-binomial pieces so that
+    gcd(x.den, y.den) is often not 1; some pairs have equal denominators,
+    denominator 1, a zero sum, or a sum whose numerator cancels against
+    that gcd."""
+
+    def numerator():
+        return draw(_zw_polys(("Z", "W"))) * draw(_fractions.filter(bool))
+
+    def denominator(den_pieces):
+        den = Polynomial.const(draw(_fractions.filter(bool)))
+        for f in den_pieces:
+            den = den * f
+        return den
+
+    pieces = st.lists(st.sampled_from(_ZW_FACTORS), max_size=3)
+    shared = draw(pieces)
+    x = RationalFunction(numerator(), denominator(shared + draw(pieces)))
+    kind = draw(st.sampled_from(["shared", "equal", "one", "zero", "cancel"]))
+    if kind == "shared":
+        y = RationalFunction(numerator(), denominator(shared + draw(pieces)))
+    elif kind == "equal":
+        y = RationalFunction(numerator(), x.den)
+    elif kind == "one":
+        y = RationalFunction(numerator())
+    elif kind == "zero":
+        y = RationalFunction(-x.num, x.den)
+    else:
+        # y = z - x, so the numerator of x + y cancels against gcd(x.den, y.den)
+        z = RationalFunction(numerator(), denominator(shared + draw(pieces)))
+        y = RationalFunction(z.num * x.den - x.num * z.den, z.den * x.den)
+    return (x, y) if draw(st.booleans()) else (y, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rf_operands())
+def test_rf_add_and_mul_match_the_reduced_reference(case):
+    x, y = case
+    for got, want in (
+        (x + y, RationalFunction(x.num * y.den + y.num * x.den, x.den * y.den)),
+        (x * y, RationalFunction(x.num * y.num, x.den * y.den)),
+    ):
+        assert got == want
+        assert repr(got) == repr(want)
+        # the denominator has content 1 and a positive leading coefficient
+        assert got.den.content_signed() == 1
+
+
 def test_eval_poly_renaming_and_kept_variables():
     p = 3 * q**2 * t + q - Fraction(1, 2) * t**3
     # a renaming onto a kept variable merges exponents

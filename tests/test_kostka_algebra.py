@@ -129,6 +129,20 @@ def test_degree_mismatch_rejected():
         structure_coefficient([P(2), P(1, 1)], P(2, 1))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda table: structure_coefficients_all([P(2, 1), P(3)], table),
+        lambda table: macdonald_expansion(s_elem(P(2, 1)), table),
+        lambda table: delta_sharp(s_elem(P(2, 1)), table),
+    ],
+    ids=["structure_coefficients_all", "macdonald_expansion", "delta_sharp"],
+)
+def test_table_of_the_wrong_degree_rejected(call):
+    with pytest.raises(ValueError, match="degree 2"):
+        call(build_table(2))
+
+
 def test_psi_diagonal_and_adjoint():
     for n in range(1, 5):
         table = build_table(n)
