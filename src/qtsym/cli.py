@@ -2,8 +2,11 @@
 
 Table cache files are plain JSON with string-encoded polynomials so they
 can be inspected and diffed; reloading one reproduces the in-memory
-table bit for bit (the power-sum expansions are reconstructed exactly
-from the Kostka entries through the character table).
+table bit for bit. The power-sum expansions are reconstructed exactly
+from the Kostka entries through the character table, and each is checked
+against the characterization of H~, which has one solution: a file whose
+entries differ from the built table's is a CacheMiss, and load_or_build
+rebuilds the table and rewrites the file.
 """
 
 from __future__ import annotations
@@ -13,13 +16,18 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 from .coeffring import ParseError, PoleError, Polynomial, rf
 from .kernel import SPECIALIZATIONS, kernel
 from .kostka_algebra import nabla, qt_catalan, structure_coefficient
 from .linalg import SingularSystem
-from .macdonald import build_table, finish_table, norm_product, register_table
+from .macdonald import (
+    build_table,
+    expansions_from_kostka,
+    finish_table,
+    norm_product,
+    register_table,
+)
 from .partitions import Partition, parse_partition, partitions_of
 from .quiver import (
     CometSpec,
@@ -39,7 +47,6 @@ from .symfunc import (
     format_basis_expansion,
     h_elem,
     json_terms,
-    mn_character,
     p_elem,
     set_degree_cap,
 )
@@ -116,23 +123,14 @@ def cache_load(n, cache_dir):
         }
     except (KeyError, IndexError, ParseError, ValueError) as exc:
         raise CacheMiss("corrupt cache %s: %s" % (path, exc))
-    # reconstruct the power-sum expansions exactly from the Kostka entries
-    htilde = {}
-    for rho in parts:
-        coeffs = {}
-        for kappa in parts:
-            acc = rf(0)
-            for lam in parts:
-                chi = mn_character(lam, kappa)
-                if chi:
-                    acc = acc + kostka[(lam, rho)] * Fraction(chi, kappa.z())
-            if not acc.is_zero():
-                coeffs[kappa] = acc
-        htilde[rho] = coeffs
     # sanity: norms must match the cell-product formula
     for lam in parts:
         if norms[lam] != rf(norm_product(lam)):
             raise CacheMiss("cache norms disagree with the cell product")
+    try:
+        htilde = expansions_from_kostka(n, kostka)
+    except (SingularSystem, ValueError) as exc:
+        raise CacheMiss("cache Kostka entries rejected: %s" % exc)
     return finish_table(n, htilde, kostka, norms)
 
 

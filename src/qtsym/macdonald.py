@@ -20,12 +20,20 @@ The norms a_eta are products of binomials q^A - t^B whose irreducible
 factors are known in closed form (norm_factors). Each inverse entry is
 a polynomial pairing over a_eta, reduced by dividing out those factors
 one at a time, with no polynomial gcd.
+
+Every sum over the conjugacy classes kappa of S_n (the monomial to
+power-sum map, the checks of the characterization, the Kostka entries
+and the numerators of the inverse) runs on integers (class_sum): z_kappa
+times a power-sum coefficient and the class size n!/z_kappa times a
+character are integers, so every term is an integer polynomial and the
+sum ends with one exact division by z_kappa or n!.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .coeffring import P_ZERO, Polynomial, binomial_factors, reduce_by_factors, rf
 from .linalg import SingularSystem
@@ -35,6 +43,7 @@ from .symfunc import (
     SymFunc,
     _check_cap,
     _pairing_p_h,
+    _scale_factor,
     e_elem,
     m_to_p,
     mn_character,
@@ -88,14 +97,51 @@ class MacdonaldTable:
         )
 
 
-@lru_cache(maxsize=None)
-def _scale_factor(kappa, varname):
-    """prod_i (x^{kappa_i} - 1) for the substitution X -> (x-1)X."""
-    x = Polynomial.var(varname)
-    out = Polynomial.const(1)
-    for part in kappa:
-        out = out * (x**part - 1)
-    return out
+def class_sum(pairs, divisor=1):
+    """(sum of w * p over the (w, p) pairs) / divisor, summed on ints.
+
+    Each w * c, for a weight w and a coefficient c of its polynomial p,
+    must be an integer: one that is not raises ValueError, and is never
+    truncated. The divisor is applied once, exactly, to the sum.
+    """
+    groups = {}
+    for w, p in pairs:
+        if type(w) is not int:
+            if w.denominator != 1:
+                raise ValueError("class weight %s is not an integer" % w)
+            w = w.numerator
+        if not w:
+            continue
+        acc = groups.setdefault(p.vars, {})
+        for e, c in p.terms.items():
+            if type(c) is int:
+                c *= w
+            else:
+                # c = a/b in lowest terms, so w*c is an integer iff b | w
+                quo, rem = divmod(w, c.denominator)
+                if rem:
+                    raise ValueError("class-weighted coefficient %s is not an integer" % (c * w))
+                c = c.numerator * quo
+            acc[e] = acc.get(e, 0) + c
+    total = P_ZERO
+    for names, acc in groups.items():
+        for e, c in acc.items():
+            quo, rem = divmod(c, divisor)
+            acc[e] = Fraction(c, divisor) if rem else quo
+        part = Polynomial(names, acc)
+        total = part if total is P_ZERO else total + part
+    return total
+
+
+def _class_weighted(n, coeffs):
+    """(kappa, n!/z_kappa, z_kappa * c) for the power-sum coefficients c:
+    the class size and an integer polynomial, so a character sum
+    sum_kappa chi_kappa c_kappa is class_sum over n! of integer terms."""
+    size = factorial(n)
+    return [
+        (kappa, size // kappa.z(), class_sum([(kappa.z(), c.as_polynomial())]))
+        for kappa, c in coeffs.items()
+    ]
 
 
 def _filling_weights(mu, lam):
@@ -158,36 +204,32 @@ def _htilde_hhl(n, rho):
     (Haglund-Haiman-Loehr, J. Amer. Math. Soc. 18 (2005)), with every
     constraint of the characterization re-verified; zeros are dropped."""
     parts = partitions_of(n)
-    terms = {kappa: {} for kappa in parts}
-    for lam in parts:
-        weights = _filling_weights(rho, lam)
-        for kappa, c in m_to_p(lam).items():
-            acc = terms[kappa]
-            for e, count in weights.items():
-                acc[e] = acc.get(e, 0) + c * count
-    coeffs = {kappa: rf(Polynomial(("q", "t"), terms[kappa])) for kappa in parts}
+    fillings = [(lam, Polynomial(("q", "t"), _filling_weights(rho, lam))) for lam in parts]
+    coeffs = {}
+    for kappa in parts:
+        z = kappa.z()
+        coeffs[kappa] = rf(class_sum(
+            ((z * m_to_p(lam).get(kappa, 0), w) for lam, w in fillings), z
+        ))
     _verify_solution(n, rho, coeffs)
     return {kappa: c for kappa, c in coeffs.items() if not c.is_zero()}
 
 
 def _verify_solution(n, rho, coeffs):
+    """Raise SingularSystem unless the power-sum coefficients kappa -> c
+    (missing ones are zero) satisfy the characterization of H~_rho."""
     parts = partitions_of(n)
     pairing = _pairing_p_h(n)
-    total = rf(0)
-    for kappa in parts:
-        total = total + coeffs[kappa]
-    if total != rf(1):
+    weighted = _class_weighted(n, coeffs)
+    if class_sum(((w, c) for _, w, c in weighted), factorial(n)) != 1:
         raise SingularSystem("normalization fails for %s" % (rho,))
     for varname, bound in (("t", rho), ("q", rho.conjugate())):
+        scaled = [(kappa, w, c * _scale_factor(kappa, varname)) for kappa, w, c in weighted]
         for mu in parts:
             if dominance_leq(mu, bound):
                 continue
-            acc = rf(0)
-            for kappa in parts:
-                p = pairing.get((kappa, mu))
-                if p:
-                    acc = acc + coeffs[kappa] * rf(_scale_factor(kappa, varname).scale(p))
-            if not acc.is_zero():
+            acc = class_sum((w * pairing.get((kappa, mu), 0), c) for kappa, w, c in scaled)
+            if acc:
                 raise SingularSystem(
                     "triangularity in %s fails for %s at %s" % (varname, rho, mu)
                 )
@@ -204,43 +246,57 @@ def build_table(n):
         raise ValueError("table degree must be at least 1")
     _check_cap(n)
     parts = partitions_of(n)
+    size = factorial(n)
     htilde = {rho: _htilde_hhl(n, rho) for rho in parts}
     kostka = {}
     for rho in parts:
-        coeffs = htilde[rho]
+        weighted = _class_weighted(n, htilde[rho])
         for lam in parts:
-            acc = rf(0)
-            for kappa, c in coeffs.items():
-                chi = mn_character(lam, kappa)
-                if chi:
-                    acc = acc + c * chi
-            kostka[(lam, rho)] = acc
+            kostka[(lam, rho)] = rf(class_sum(
+                ((w * mn_character(lam, kappa), c) for kappa, w, c in weighted), size
+            ))
     norms = {lam: rf(norm_product(lam)) for lam in parts}
     table = finish_table(n, htilde, kostka, norms)
     _TABLES[n] = table
     return table
 
 
+def expansions_from_kostka(n, kostka):
+    """rho -> {kappa: H~_rho[kappa]} from the Kostka entries, zeros dropped:
+    z_kappa H~_rho[kappa] = sum_lam chi^lam_kappa K~[lam,rho]. Each expansion
+    is checked against the characterization, which has one solution per
+    rho, so entries that are not the table's raise SingularSystem (or
+    ValueError when a coefficient is not an integer)."""
+    parts = partitions_of(n)
+    htilde = {}
+    for rho in parts:
+        column = [(lam, kostka[(lam, rho)].as_polynomial()) for lam in parts]
+        coeffs = {}
+        for kappa in parts:
+            c = class_sum(((mn_character(lam, kappa), k) for lam, k in column), kappa.z())
+            if c:
+                coeffs[kappa] = rf(c)
+        _verify_solution(n, rho, coeffs)
+        htilde[rho] = coeffs
+    return htilde
+
+
 def finish_table(n, htilde, kostka, norms):
     """The MacdonaldTable of these expansions, Kostka entries and norms,
     with the inverse Kostka matrix computed from them."""
     parts = partitions_of(n)
+    size = factorial(n)
     # Orthogonality turns inversion into pairings: the coefficient of the
     # Macdonald element H_eta in s_lam is (s_lam, H_eta)^{q,t} / a_eta. The
-    # pairing is a polynomial, reduced against the known factors of a_eta.
+    # pairing is a polynomial; n! times it is an integer class sum, reduced
+    # against the known factors of a_eta, and 1/n! joins the unit.
     kostka_inv = {}
     for eta in parts:
         unit, factors = norm_factors(eta)
-        scaled = {
-            kappa: c.as_polynomial() * qt_factor(kappa) for kappa, c in htilde[eta].items()
-        }
+        scaled = [(kappa, w, c * qt_factor(kappa)) for kappa, w, c in _class_weighted(n, htilde[eta])]
         for lam in parts:
-            num = P_ZERO
-            for kappa, c in scaled.items():
-                chi = mn_character(lam, kappa)
-                if chi:
-                    num = num + c.scale(chi)
-            kostka_inv[(eta, lam)] = reduce_by_factors(num, factors, unit)
+            num = class_sum((w * mn_character(lam, kappa), c) for kappa, w, c in scaled)
+            kostka_inv[(eta, lam)] = reduce_by_factors(num, factors, unit * size)
     return MacdonaldTable(n, parts, htilde, kostka, kostka_inv, norms)
 
 

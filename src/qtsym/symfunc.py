@@ -472,14 +472,20 @@ def hall_scalar(F, G):
 
 
 @lru_cache(maxsize=None)
-def qt_factor(kappa):
-    """prod_i (q^{kappa_i} - 1)(1 - t^{kappa_i}) as a Polynomial."""
-    q = Polynomial.var("q")
-    t = Polynomial.var("t")
+def _scale_factor(kappa, varname):
+    """prod_i (x^{kappa_i} - 1), the factor of p_kappa under X -> (x-1)X."""
+    x = Polynomial.var(varname)
     out = Polynomial.const(1)
     for part in kappa:
-        out = out * (q**part - 1) * (1 - t**part)
+        out = out * (x**part - 1)
     return out
+
+
+@lru_cache(maxsize=None)
+def qt_factor(kappa):
+    """prod_i (q^{kappa_i} - 1)(1 - t^{kappa_i}) as a Polynomial."""
+    out = _scale_factor(kappa, "q") * _scale_factor(kappa, "t")
+    return -out if len(kappa) % 2 else out
 
 
 def qt_scale(F, alphabet=0):

@@ -126,9 +126,27 @@ def test_cache_version_and_corruption(tmp_path):
     # load_or_build falls back to a rebuild and rewrites the file
     clear_tables()
     rebuilt = load_or_build(2, str(tmp_path))
-    assert rebuilt == build_table(2) or rebuilt.n == 2
+    assert rebuilt == build_table(2)
     fresh = cache_load(2, str(tmp_path))
     assert fresh == rebuilt
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_tampered_kostka_entry_is_a_cache_miss(tmp_path, n):
+    table = build_table(n)
+    path = cache_save(table, str(tmp_path))
+    doc = json.loads(open(path).read())
+    parts = list(table.partitions)
+    i, j = parts.index(Partition((n - 1, 1))), parts.index(Partition((n,)))
+    doc["kostka"][i][j] += " + q*t"
+    open(path, "w").write(json.dumps(doc))
+    with pytest.raises(CacheMiss, match="Kostka"):
+        cache_load(n, str(tmp_path))
+    # load_or_build rebuilds, and rewrites the file with the built table
+    clear_tables()
+    rebuilt = load_or_build(n, str(tmp_path))
+    assert rebuilt == build_table(n) == table
+    assert cache_load(n, str(tmp_path)) == table
 
 
 def test_cache_missing_silent_rebuild(tmp_path):

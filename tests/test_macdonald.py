@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from qtsym.coeffring import Polynomial, poly_gcd, rf
+from qtsym.coeffring import P_ZERO, Polynomial, RationalFunction, poly_gcd, rf
 from qtsym.linalg import SingularSystem, solve_bareiss
 from qtsym.partitions import Partition, dominance_leq, partitions_of
 from qtsym.plethysm import AlphabetExpr, substitute
 from qtsym.macdonald import (
     _verify_solution,
     build_table,
+    class_sum,
     delta1,
     delta1_eigenvalue,
     evaluation_product,
@@ -18,7 +19,7 @@ from qtsym.macdonald import (
     phi_weight,
     qt_norm_pairing,
 )
-from qtsym.symfunc import expand1, qt_pairing_scalar, s_elem
+from qtsym.symfunc import expand1, mn_character, qt_factor, qt_pairing_scalar, s_elem
 
 q = Polynomial.var("q")
 t = Polynomial.var("t")
@@ -240,3 +241,38 @@ def test_kostka_coefficients_are_stored_as_ints():
         for entry in build_table(n).kostka.values():
             poly = entry.as_polynomial()
             assert all(type(c) is int for c in poly.terms.values()), entry
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_kostka_and_inverse_match_the_rational_function_sums(n):
+    # K~[lam,rho] = sum_kappa H~_rho[kappa] chi^lam_kappa and
+    # K~^-1[eta,lam] = sum_kappa H~_eta[kappa] qt_factor(kappa) chi^lam_kappa / a_eta,
+    # summed in RationalFunction and Fraction arithmetic
+    table = build_table(n)
+    parts = partitions_of(n)
+    for rho in parts:
+        for lam in parts:
+            ref = rf(0)
+            for kappa, c in table.htilde[rho].items():
+                ref = ref + c * mn_character(lam, kappa)
+            got = table.kostka_entry(lam, rho)
+            assert got == ref and repr(got) == repr(ref), (lam, rho)
+    for eta in parts:
+        for lam in parts:
+            num = P_ZERO
+            for kappa, c in table.htilde[eta].items():
+                num = num + c.as_polynomial() * qt_factor(kappa) * mn_character(lam, kappa)
+            ref = RationalFunction(num, norm_product(eta))
+            got = table.kostka_inverse_entry(eta, lam)
+            assert got == ref and repr(got) == repr(ref), (eta, lam)
+
+
+def test_class_sum_is_exact_and_rejects_non_integral_terms():
+    half = Polynomial(("q", "t"), {(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 4)})
+    assert class_sum([(4, half), (-1, q)]) == q + 3 * t
+    assert class_sum([(4, half)], 3) == (2 * q + 3 * t) * Fraction(1, 3)
+    assert class_sum([(4, half), (-4, half)]).is_zero()
+    with pytest.raises(ValueError):
+        class_sum([(2, half)])
+    with pytest.raises(ValueError):
+        class_sum([(Fraction(1, 2), q)])
