@@ -150,17 +150,19 @@ def load_or_build(n, cache_dir=None):
     return table
 
 
+def _load_tables(n, cache_dir):
+    """load_or_build every degree from 1 to n, as the kernels of degree n use."""
+    for d in range(1, n + 1):
+        load_or_build(d, cache_dir)
+
+
 # -- output helpers ------------------------------------------------------------
-
-
-def _coeff_str(c):
-    return str(c)
 
 
 def _schur_expansion_doc(F):
     exp = expand1(F, "schur")
     return [
-        ["schur", list(mu), _coeff_str(c)]
+        ["schur", list(mu), str(c)]
         for mu, c in sorted(exp.items(), key=lambda kv: kv[0], reverse=True)
     ]
 
@@ -178,7 +180,7 @@ def _cmd_macdonald(args, emit):
     doc = {}
     for rho in show:
         entries = {
-            str(lam): _coeff_str(table.kostka_entry(lam, rho))
+            str(lam): str(table.kostka_entry(lam, rho))
             for lam in table.partitions
             if not table.kostka_entry(lam, rho).is_zero()
         }
@@ -197,7 +199,7 @@ def _cmd_kostka(args, emit):
     table = load_or_build(args.n, args.cache_dir)
     parts = table.partitions
     entry = table.kostka_inverse_entry if args.inverse else table.kostka_entry
-    rows = [[_coeff_str(entry(lam, rho)) for rho in parts] for lam in parts]
+    rows = [[str(entry(lam, rho)) for rho in parts] for lam in parts]
     if args.json:
         emit(
             json.dumps(
@@ -224,9 +226,9 @@ def _cmd_ccoef(args, emit):
         load_or_build(factors[0].size, args.cache_dir)
     val = structure_coefficient(factors, target)
     if args.json:
-        emit(json.dumps({"factors": [list(f) for f in factors], "target": list(target), "value": _coeff_str(val)}))
+        emit(json.dumps({"factors": [list(f) for f in factors], "target": list(target), "value": str(val)}))
     else:
-        emit(_coeff_str(val))
+        emit(str(val))
     return 0
 
 
@@ -235,9 +237,9 @@ def _cmd_catalan(args, emit):
         load_or_build(args.n, args.cache_dir)
     val = qt_catalan(args.n, args.m)
     if args.json:
-        emit(json.dumps({"n": args.n, "m": args.m, "value": _coeff_str(val)}))
+        emit(json.dumps({"n": args.n, "m": args.m, "value": str(val)}))
     else:
-        emit(_coeff_str(val))
+        emit(str(val))
     return 0
 
 
@@ -257,9 +259,7 @@ def _cmd_nabla(args, emit):
 
 
 def _cmd_kernel(args, emit):
-    for d in range(1, args.n + 1):
-        if args.cache_dir:
-            load_or_build(d, args.cache_dir)
+    _load_tables(args.n, args.cache_dir)
     point = SPECIALIZATIONS[args.specialize]() if args.specialize else None
     K = kernel(args.n, args.genus, args.points, point)
     doc = _symfunc_doc(K)
@@ -311,9 +311,7 @@ def _read_twist_spec(path):
 
 def _cmd_poincare(args, emit):
     spec = _read_comet_spec(args.spec)
-    for d in range(1, spec.rank + 1):
-        if args.cache_dir:
-            load_or_build(d, args.cache_dir)
+    _load_tables(spec.rank, args.cache_dir)
     if args.twist:
         twist = _read_twist_spec(args.twist)
         value = twisted_poincare(spec, twist)
@@ -329,6 +327,7 @@ def _cmd_poincare(args, emit):
 def _cmd_ctrace(args, emit):
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
+    _load_tables(mu.size, args.cache_dir)
     val = c_from_trace(mu, nu)
     if args.json:
         emit(json.dumps({"mu": list(mu), "nu": list(nu), "value": str(val)}))
@@ -340,11 +339,12 @@ def _cmd_ctrace(args, emit):
 def _cmd_mixed_hodge(args, emit):
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
+    _load_tables(mu.size, args.cache_dir)
     val = mixed_hodge_rhs(mu, nu)
     if args.json:
-        emit(json.dumps({"mu": list(mu), "nu": list(nu), "value": _coeff_str(val)}))
+        emit(json.dumps({"mu": list(mu), "nu": list(nu), "value": str(val)}))
     else:
-        emit(_coeff_str(val))
+        emit(str(val))
     return 0
 
 

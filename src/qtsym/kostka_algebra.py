@@ -7,11 +7,14 @@ the Schur basis come straight out of the Kostka matrix and its inverse:
 
     c^lambda_(mu1..muk) = sum_eta L[eta,lambda] * prod_j K[mu_j, eta].
 
-Every denominator of L[eta, .] divides the norm a_eta, whose irreducible
-factors are known (macdonald.norm_factors). So each sum is taken over a
-common denominator built from those factors and reduced once, by exact
-division, with no polynomial gcd; a caller's table whose L denominators
-do not divide the norms is rejected with ValueError.
+Every operation is a sum over eta of terms whose denominators divide
+the norm a_eta, whose irreducible factors are known
+(macdonald.norm_factors). One routine, _macdonald_sum, takes each such
+sum over the per-factor maximum of its denominators and reduces it once
+by exact division, with no gcd; a denominator part foreign to a_eta, as
+from an operand with rational coefficients, goes into one lcm that is
+divided out at the end. A caller's table whose L denominators do not
+divide the norms is rejected with ValueError where it enters.
 
 The adjoint operators psi_F are diagonal in the Macdonald basis; with
 F = e_n this is the nabla operator of Bergeron and Garsia, whose pairing
@@ -20,9 +23,11 @@ against e_n produces the higher (q,t)-Catalan numbers.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
+from math import prod
 
-from .coeffring import P_ONE, P_ZERO, Polynomial, reduce_by_factors, rf
+from .coeffring import P_ONE, P_ZERO, RF_ONE, Polynomial, gcd_cofactors, reduce_by_factors, rf
 from .macdonald import (
     build_table,
     corner_free_product,
@@ -74,51 +79,65 @@ def _registered_coefficients(factors):
 
 def _table_of_degree(n, table):
     """table, or the registered degree-n table when table is None;
-    ValueError when a caller's table has another degree."""
+    ValueError when a caller's table has another degree or a K~^-1
+    denominator that does not divide the norm a_eta."""
     if table is None:
         return build_table(n)
     if table.n != n:
         raise ValueError("table has degree %d, operands have degree %d" % (table.n, n))
+    for (eta, _), entry in table.kostka_inv.items():
+        if _norm_split(entry.den, eta)[1] != P_ONE:
+            raise ValueError("denominator %s does not divide the norm of %s" % (entry.den, eta))
     return table
 
 
 def _structure_coefficients(factors, table):
-    # Each K~^-1 denominator divides a_eta; every term is brought over the
-    # per-factor maximum of its target's denominators and the sum is
-    # reduced once by trial division.
-    products = {}
-    for eta in table.partitions:
-        term = P_ONE
-        for mu in factors:
-            term = term * table.kostka_entry(mu, eta).as_polynomial()
-        products[eta] = term
-    out = {}
-    for target in table.partitions:
-        terms = []
-        common = {}
-        for eta in table.partitions:
-            entry = table.kostka_inverse_entry(eta, target)
-            if entry.is_zero() or products[eta].is_zero():
-                continue
-            mult = dict(_den_multiplicities(entry.den, eta))
-            terms.append((entry.num * products[eta], mult))
-            for f, m in mult.items():
+    weights = {
+        eta: prod((table.kostka_entry(mu, eta) for mu in factors), start=RF_ONE)
+        for eta in table.partitions
+    }
+    return _inverse_kostka_sum(weights, table)
+
+
+def _inverse_kostka_sum(weights, table):
+    """lam -> the sum over eta of K~^-1[eta, lam] * weights[eta]."""
+    return {
+        lam: _macdonald_sum((eta, table.kostka_inverse_entry(eta, lam), w) for eta, w in weights.items())
+        for lam in table.partitions
+    }
+
+
+def _macdonald_sum(terms):
+    """The sum of x*w over the (eta, x, w) triples of RationalFunctions,
+    reduced once: the denominator of x is split against the factors of
+    a_eta, and what is left of it joins the denominator of w in one lcm."""
+    scaled = []
+    common = {}
+    lcm = P_ONE
+    for eta, x, w in terms:
+        if x and w:
+            mult, rest = _norm_split(x.den, eta)
+            den = rest * w.den
+            lcm = lcm * gcd_cofactors(lcm, den)[2]
+            scaled.append((x.num * w.num, dict(mult), den))
+            for f, m in mult:
                 common[f] = max(common.get(f, 0), m)
-        num = P_ZERO
-        for term, mult in terms:
-            for f, m in common.items():
-                extra = m - mult.get(f, 0)
-                if extra:
-                    term = term * f**extra
-            num = num + term
-        out[target] = reduce_by_factors(num, common.items())
-    return out
+    num = P_ZERO
+    for term, mult, den in scaled:
+        for f, m in common.items():
+            extra = m - mult.get(f, 0)
+            if extra:
+                term = term * f**extra
+        num = num + term * lcm.divexact(den)
+    out = reduce_by_factors(num, common.items())
+    return out if lcm == P_ONE else out / lcm
 
 
 @lru_cache(maxsize=None)
-def _den_multiplicities(den, eta):
-    """((f, m), ...) with den = prod f^m over the irreducible factors f of
-    the norm a_eta; ValueError when den does not divide a_eta."""
+def _norm_split(den, eta):
+    """(((f, m), ...), rest) with den = rest * prod f^m over the irreducible
+    factors f of the norm a_eta, each m at most the multiplicity of f in
+    a_eta; rest is 1 exactly when den divides a_eta."""
     rest = den
     out = []
     for f, m in norm_factors(eta)[1]:
@@ -131,9 +150,7 @@ def _den_multiplicities(den, eta):
             k += 1
         if k:
             out.append((f, k))
-    if rest != P_ONE:
-        raise ValueError("denominator %s does not divide the norm of %s" % (den, eta))
-    return tuple(out)
+    return tuple(out), rest
 
 
 def structure_coefficient(factors, target, table=None):
@@ -151,21 +168,35 @@ def macdonald_expansion(G, table=None):
     schur = expand1(G, "schur")
     out = {}
     for eta in table.partitions:
-        acc = rf(0)
-        for lam, c in schur.items():
-            entry = table.kostka_inverse_entry(eta, lam)
-            if not entry.is_zero():
-                acc = acc + entry * c
-        if not acc.is_zero():
-            out[eta] = acc
+        c = _macdonald_sum((eta, table.kostka_inverse_entry(eta, lam), g) for lam, g in schur.items())
+        if not c.is_zero():
+            out[eta] = c
     return out
 
 
 def from_macdonald_expansion(coeffs, table):
     """sum over eta of H~_eta * coeffs[eta]: the inverse of macdonald_expansion."""
-    out = SymFunc.zero(1)
-    for eta, c in coeffs.items():
-        out = out + table.htilde_sym(eta) * c
+    return _htilde_sum(coeffs, table, 1)
+
+
+def _htilde_sum(coeffs, table, k):
+    """sum over eta of coeffs[eta] * H~_eta[X_1] ... H~_eta[X_k], through its
+    Schur coefficients sum_eta coeffs[eta] * prod_j K~[lam_j, eta]."""
+    return _schur_sum({
+        key: _macdonald_sum(
+            (eta, rf(c), prod((table.kostka_entry(lam, eta) for lam in key), start=RF_ONE))
+            for eta, c in coeffs.items()
+        )
+        for key in product(table.partitions, repeat=k)
+    }, k)
+
+
+def _schur_sum(coeffs, k):
+    """sum of c * s_lam1[X_1] ... s_lamk[X_k] over the (lam1, ..., lamk) -> c items."""
+    out = SymFunc.zero(k)
+    for key, c in coeffs.items():
+        if c:
+            out = out + reduce(SymFunc.tensor, map(s_elem, key)) * c
     return out
 
 
@@ -176,31 +207,17 @@ def kostka_product(F, G):
     if nf != ng:
         raise ValueError("degree mismatch: %d vs %d" % (nf, ng))
     table = build_table(nf)
-    u = {eta: hall_scalar(F, table.htilde_sym(eta)) for eta in table.partitions}
-    v = {eta: hall_scalar(G, table.htilde_sym(eta)) for eta in table.partitions}
-    out = SymFunc.zero(1)
-    for lam in table.partitions:
-        acc = rf(0)
-        for eta in table.partitions:
-            prod = u[eta] * v[eta]
-            if prod.is_zero():
-                continue
-            entry = table.kostka_inverse_entry(eta, lam)
-            if not entry.is_zero():
-                acc = acc + prod * entry
-        if not acc.is_zero():
-            out = out + s_elem(lam) * acc
-    return out
+    weights = {}
+    for eta in table.partitions:
+        H = table.htilde_sym(eta)
+        weights[eta] = hall_scalar(F, H) * hall_scalar(G, H)
+    return _schur_sum({(lam,): c for lam, c in _inverse_kostka_sum(weights, table).items()}, 1)
 
 
 def delta_sharp(G, table=None):
     """The coproduct: the Macdonald basis maps to its two-alphabet square."""
-    table = _table_of_degree(_require_degree(G), table)
     coeffs = macdonald_expansion(G, table)
-    out = SymFunc.zero(2)
-    for eta, c in coeffs.items():
-        out = out + table.htilde_sym(eta, 0, 2) * table.htilde_sym(eta, 1, 2) * c
-    return out
+    return _htilde_sum(coeffs, table or build_table(_require_degree(G)), 2)
 
 
 def psi(F, G):

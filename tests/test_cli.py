@@ -188,6 +188,13 @@ def test_ctrace_and_mixed_hodge(capsys):
     assert capsys.readouterr().out.strip() == "q + t"
 
 
+@pytest.mark.parametrize("command", ["ctrace", "mixed-hodge"])
+def test_column_commands_use_the_cache_dir(tmp_path, capsys, command):
+    code = main(["--cache-dir", str(tmp_path), command, "--mu", "[1,1]", "--nu", "[1,1]"])
+    assert code == 0
+    assert sorted(os.listdir(tmp_path)) == ["macdonald-1.json", "macdonald-2.json"]
+
+
 def test_verify_subcommand(capsys):
     code = main(["verify", "--suite", "macdonald", "--max-n", "3"])
     out = capsys.readouterr().out

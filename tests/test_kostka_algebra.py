@@ -113,13 +113,22 @@ def test_kostka_pair_identity_degree_five():
             assert lhs == K[(mu, eta)] * K[(nu, eta)], (mu, nu, eta)
 
 
-def test_structure_coefficients_reject_a_foreign_denominator():
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda table: structure_coefficients_all([P(1, 1), P(2)], table),
+        lambda table: macdonald_expansion(s_elem(P(1, 1)), table),
+        lambda table: delta_sharp(s_elem(P(1, 1)), table),
+    ],
+    ids=["structure_coefficients_all", "macdonald_expansion", "delta_sharp"],
+)
+def test_structure_coefficients_reject_a_foreign_denominator(call):
     real = build_table(2)
     inv = dict(real.kostka_inv)
     inv[(P(2), P(2))] = rf(1) / rf(q + t)
     table = MacdonaldTable(2, real.partitions, real.htilde, real.kostka, inv, real.norms)
-    with pytest.raises(ValueError):
-        structure_coefficients_all([P(1, 1), P(2)], table)
+    with pytest.raises(ValueError, match="does not divide the norm"):
+        call(table)
 
 
 def test_degree_mismatch_rejected():
@@ -292,3 +301,133 @@ def test_structure_coefficients_use_a_passed_table():
     memo = structure_coefficients_all(factors)
     assert memo != expect
     assert structure_coefficients_all(factors, table) == expect
+
+
+# Plain RationalFunction references for every routine that sums over the
+# Macdonald basis: each term is added with its own gcd, as the textbook
+# formulas read.
+
+
+def _ref_macdonald_expansion(G, table):
+    out = {}
+    for eta in table.partitions:
+        acc = rf(0)
+        for lam, g in expand1(G, "schur").items():
+            acc = acc + table.kostka_inverse_entry(eta, lam) * g
+        if not acc.is_zero():
+            out[eta] = acc
+    return out
+
+
+def _ref_from_macdonald_expansion(coeffs, table, k=1):
+    out = SymFunc.zero(k)
+    for eta, c in coeffs.items():
+        term = SymFunc.one(k)
+        for j in range(k):
+            term = term * table.htilde_sym(eta, j, k)
+        out = out + term * c
+    return out
+
+
+def _ref_dual_sum(weights, table):
+    out = {}
+    for lam in table.partitions:
+        acc = rf(0)
+        for eta, w in weights.items():
+            acc = acc + table.kostka_inverse_entry(eta, lam) * w
+        out[lam] = acc
+    return out
+
+
+def _ref_structure_coefficients(factors, table):
+    weights = {}
+    for eta in table.partitions:
+        weights[eta] = rf(1)
+        for mu in factors:
+            weights[eta] = weights[eta] * table.kostka_entry(mu, eta)
+    return _ref_dual_sum(weights, table)
+
+
+def _ref_kostka_product(F, G, table):
+    weights = {}
+    for eta in table.partitions:
+        H = table.htilde_sym(eta)
+        weights[eta] = hall_scalar(F, H) * hall_scalar(G, H)
+    out = SymFunc.zero(1)
+    for lam, c in _ref_dual_sum(weights, table).items():
+        out = out + s_elem(lam) * c
+    return out
+
+
+def _ref_psi(F, G, table):
+    coeffs = _ref_macdonald_expansion(G, table)
+    eig = {eta: hall_scalar(F, table.htilde_sym(eta)) for eta in coeffs}
+    return _ref_from_macdonald_expansion({eta: c * eig[eta] for eta, c in coeffs.items()}, table)
+
+
+def _ref_garsia_haiman_sum(n, table):
+    from qtsym.macdonald import corner_free_product, phi_weight
+
+    weights = {
+        lam: rf(phi_weight(lam) * corner_free_product(lam)) / table.norm(lam)
+        for lam in table.partitions
+    }
+    return _ref_from_macdonald_expansion(weights, table) * rf((q - 1) * (1 - t))
+
+
+_SHARED = rf(1) / rf(q - t)  # q - t divides the norms from degree 2 on
+_FOREIGN = rf(1) / rf(q * t + 1)  # divides no norm
+
+
+def _operands(n):
+    """Every s_mu of degree n, and s_(1^n) with each rational coefficient."""
+    ops = [s_elem(mu) for mu in partitions_of(n)]
+    return ops + [s_elem(P(*(1,) * n)) * a for a in (_SHARED, _FOREIGN)]
+
+
+def _differential_cases(n):
+    from qtsym.kostka_algebra import from_macdonald_expansion
+
+    table = build_table(n)
+    en = e_elem(P(n))
+    for mu, nu in combinations_with_replacement(partitions_of(n), 2):
+        yield ("structure_coefficients_all", structure_coefficients_all([mu, nu]),
+               _ref_structure_coefficients([mu, nu], table))
+    for F, G in combinations_with_replacement(_operands(n), 2):
+        yield "kostka_product", kostka_product(F, G), _ref_kostka_product(F, G, table)
+    for F in _operands(n):
+        coeffs = _ref_macdonald_expansion(F, table)
+        yield "macdonald_expansion", macdonald_expansion(F), coeffs
+        yield ("from_macdonald_expansion", from_macdonald_expansion(coeffs, table),
+               _ref_from_macdonald_expansion(coeffs, table))
+        yield "delta_sharp", delta_sharp(F), _ref_from_macdonald_expansion(coeffs, table, 2)
+        yield "psi", psi(en, F), _ref_psi(en, F, table)
+        yield "psi", psi(F, F), _ref_psi(F, F, table)
+        nab = {eta: c * nabla_eigenvalue(eta) for eta, c in coeffs.items()}
+        yield "nabla", nabla(F), _ref_from_macdonald_expansion(nab, table)
+    weights = {eta: _FOREIGN / table.norm(eta) for eta in table.partitions}
+    yield ("from_macdonald_expansion", from_macdonald_expansion(weights, table),
+           _ref_from_macdonald_expansion(weights, table))
+    yield "garsia_haiman_sum", garsia_haiman_sum(n), _ref_garsia_haiman_sum(n, table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_macdonald_sums_match_plain_rational_arithmetic(n):
+    for name, got, want in _differential_cases(n):
+        assert got == want, (name, n)
+        assert repr(got) == repr(want), (name, n)
+
+
+def test_operands_with_rational_coefficients():
+    # a shares a factor with the norms and b shares none, so the sums run
+    # through the lcm of the denominators the norms do not account for
+    a, b = _SHARED, _FOREIGN
+    for n in range(2, 5):
+        for mu in partitions_of(n):
+            F = s_elem(mu)
+            G = s_elem(P(*(1,) * n))
+            assert kostka_product(F * a, G * b) == kostka_product(F, G) * a * b
+            assert macdonald_expansion(F * a) == {
+                eta: c * a for eta, c in macdonald_expansion(F).items()
+            }
+            assert nabla(F * a) == nabla(F) * a
