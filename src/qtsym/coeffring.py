@@ -6,29 +6,40 @@ field. HookField adjoins eps with eps^2 = Z*W, which is what the squared
 hook numerators of the genus-g kernel live in once z^2, w^2 are renamed
 to Z, W.
 
-Coefficients are stored as plain ints whenever the value is integral and
-as Fraction otherwise; integer fast paths matter because table building
-and kernel assembly do millions of coefficient operations.
+Polynomial coefficients are ints or Fractions. Construction, sums,
+scaling and division store an integral value as an int; a product of
+polynomials with Fraction coefficients may keep one as a Fraction, which
+compares, hashes and prints as the int.
+
+A RationalFunction is scalar * prim / den: scalar is a nonzero int or
+Fraction that carries the sign and the rational content, and prim and
+den are primitive integer polynomials (coprime int coefficients) with
+positive graded-lex leading coefficient. This form is unique, so ==
+compares the three parts, and num = scalar * prim is built only when
+asked for. Products and gcds then run on ints: the product of two
+primitive polynomials is primitive (Gauss), and so is each cofactor of
+one by a gcd, with a positive leading coefficient when both have one.
+Sums join the two scalars through their rational gcd s, so the new
+numerator is an integer combination of integer polynomials.
 
 RationalFunction adds and multiplies by Henrici's rule (Knuth, TAOCP
 vol. 2, 4.5.1). With g = gcd(d1, d2), n1/d1 + n2/d2 is
 (n1 d2/g + n2 d1/g) / (d1/g * d2/g * g), and a common factor of that
 numerator and denominator can only divide g, because the inputs are
 reduced and d1/g, d2/g are coprime; so only g is reduced against. A
-product cross-cancels n1 against d2 and n2 against d1. Denominators
-stay primitive with positive leading coefficient without renormalizing,
-since the cofactors of such polynomials by such a gcd are too (Gauss).
+product cross-cancels prim1 against d2 and prim2 against d1, and
+multiplies the scalars.
 
 RationalFunction reduces by poly_gcd, through gcd_cofactors. Gcds in two
 indeterminates, which is all of the engine's (q,t) and (Z,W) traffic,
 take Brown's evaluation-interpolation route on dense integer arrays:
-each input is cleared of its rational content and becomes rows in x over
-Z[y] once, and the y-content, the images, the univariate gcds, the
-interpolation and the certifying trial division all run on int lists.
-The sample points start at 2 and skip 0 and +-1, which are roots of the
-hook binomials Z^a - W^b and give images of too high a degree. The
-certifying division yields a/g and b/g, which _reduce_fraction and
-RationalFunction.__add__ and __mul__ use instead of dividing again.
+each input becomes rows in x over Z[y] once (an input with Fraction
+coefficients is first cleared of its denominators), and the y-content,
+the images, the univariate gcds, the interpolation and the certifying
+trial division all run on int lists. The sample points start at 2 and
+skip 0 and +-1, which are roots of the hook binomials Z^a - W^b and give
+images of too high a degree. The certifying division yields a/g and
+b/g, which RationalFunction uses instead of dividing again.
 Three or more indeterminates take the primitive PRS, which is also the
 last resort of the bivariate route and the reference its tests compare
 against; gcd_path_counts() tells how many gcds took each path.
@@ -275,9 +286,6 @@ class Polynomial:
                         out[e] = s
                     else:
                         del out[e]
-        for e, c in out.items():
-            if type(c) is not int and c.denominator == 1:
-                out[e] = c.numerator
         return Polynomial._raw(vs, out)
 
     __rmul__ = __mul__
@@ -309,24 +317,13 @@ class Polynomial:
         """(exponent tuple, coefficient) of the graded-lex leading term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=lambda e: (sum(e), e))
+        _, e = max(zip(map(sum, self.terms), self.terms))
         return e, self.terms[e]
 
     def content_signed(self):
-        """Rational c with self/c integer, coprime, positive leading coeff."""
-        if not self.terms:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            if type(c) is int:
-                num = _int_gcd(num, c)
-            else:
-                num = _int_gcd(num, c.numerator)
-                den = den * c.denominator // _int_gcd(den, c.denominator)
-        c = Fraction(num, den)
-        _, lead = self.leading()
-        return -c if lead < 0 else c
+        """Rational c with self/c integer, coprime, positive leading coeff;
+        an int when integral."""
+        return _content(self)[0]
 
     def scale(self, c):
         if isinstance(c, Fraction) and c.denominator == 1:
@@ -341,9 +338,7 @@ class Polynomial:
 
     def primitive(self):
         """self divided by its signed content."""
-        if not self.terms:
-            return self
-        return self.scale(1 / self.content_signed())
+        return _split_content(self)[1]
 
     # -- division ----------------------------------------------------------
 
@@ -793,11 +788,17 @@ def _rows_quo(A, G):
 
 
 def _split_rows(p, x, y):
-    """(c, rows) with p = c * sum rows[i](y) x^i, c rational and the rows
-    coprime integer lists with positive graded-lex leading coefficient."""
-    c = p.content_signed()
-    num, den = c.numerator, c.denominator
-    terms = p.terms if num == den == 1 else {e: k * den // num for e, k in p.terms.items()}
+    """(c, rows) with p = c * sum rows[i](y) x^i and the rows integer
+    lists: c is 1 when p has integer coefficients, and otherwise 1 over
+    the lcm of their denominators."""
+    den = 1
+    ints = True
+    for k in p.terms.values():
+        if type(k) is not int:
+            ints = False
+            den = _int_lcm(den, k.denominator)
+    c = 1 if den == 1 else Fraction(1, den)
+    terms = p.terms if ints else {e: int(k * den) for e, k in p.terms.items()}
     if p.vars == (x, y):
         pairs = terms.items()
     elif p.vars == (y, x):
@@ -852,8 +853,8 @@ def _brown_gcd(a, b, names):
 
     y is the indeterminate of smaller degree, so fewer points are needed;
     with one indeterminate there is no y and every row is a constant.
-    Each argument becomes rows in x over Z[y] once, after its rational
-    content is cleared, and its y-content is split off. The images at
+    Each argument becomes rows in x over Z[y] once, after its
+    denominators are cleared, and its y-content is split off. The images at
     y = 2, -2, 3, -3, ... are univariate gcds, scaled to the gcd gamma of
     the leading rows, and interpolated. The points skip 0 and +-1: they
     are roots of the hook binomials Z^a - W^b, so images there have too
@@ -1096,11 +1097,16 @@ def _gcd(a, b):
 
 
 class RationalFunction:
-    """Reduced fraction of polynomials, denominator primitive and positive."""
+    """Reduced fraction scalar * prim / den (see the module docstring).
 
-    __slots__ = ("num", "den", "_hash")
+    prim and den are primitive integer polynomials with positive leading
+    coefficient, scalar is a nonzero int or Fraction; zero is scalar 0
+    over prim 0 and den 1. num = scalar * prim is built on first use.
+    """
 
-    def __init__(self, num, den=None, _reduced=False):
+    __slots__ = ("scalar", "prim", "den", "_num", "_hash")
+
+    def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
             num = Polynomial.const(num)
         if den is None:
@@ -1109,28 +1115,34 @@ class RationalFunction:
             den = Polynomial.const(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if not _reduced:
-            num, den = _reduce_fraction(num, den)
-        self.num = num
-        self.den = den
+        self.scalar, self.prim, self.den = _reduce_fraction(num, den)
+        self._num = None
         self._hash = None
+
+    @property
+    def num(self):
+        """The numerator scalar * prim, as a Polynomial over Q."""
+        if self._num is None:
+            self._num = self.prim.scale(self.scalar)
+        return self._num
 
     @staticmethod
     def const(c):
-        return RationalFunction(Polynomial.const(c), P_ONE, _reduced=True)
+        c = _normc(c)
+        return _make(c, P_ONE if c else P_ZERO, P_ONE)
 
     @staticmethod
     def var(name):
-        return RationalFunction(Polynomial.var(name), P_ONE, _reduced=True)
+        return _make(1, Polynomial.var(name), P_ONE)
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.scalar
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.scalar)
 
     def is_polynomial(self):
-        return self.den == P_ONE
+        return self.den.is_constant()
 
     def as_polynomial(self):
         if not self.is_polynomial():
@@ -1138,10 +1150,12 @@ class RationalFunction:
         return self.num
 
     def is_constant(self):
-        return self.num.is_constant() and self.den.is_constant()
+        return self.prim.is_constant() and self.den.is_constant()
 
     def constant_value(self):
-        return Fraction(self.num.constant_value()) / self.den.constant_value()
+        if not self.is_constant():
+            raise ValueError("not a constant: %s" % self)
+        return Fraction(self.scalar)
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
@@ -1149,28 +1163,35 @@ class RationalFunction:
         if isinstance(other, (int, Fraction)):
             return RationalFunction.const(other)
         if isinstance(other, Polynomial):
-            return RationalFunction(other, P_ONE, _reduced=True)
+            return RationalFunction(other)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.scalar:
+            return self
+        if not self.scalar:
+            return other
         # Henrici's rule: with a1 = d1/g and a2 = d2/g, a common factor of
         # num and a1*a2*g can only divide g (see the module docstring).
+        s, k1, k2 = _join_scalars(self.scalar, other.scalar)
         g, a1, a2 = gcd_cofactors(self.den, other.den)
-        num = self.num * a2 + other.num * a1
+        num = (self.prim * a2).scale(k1) + (other.prim * a1).scale(k2)
         if num.is_zero():
             return RF_ZERO
+        c, num = _split_content(num)
+        s = _normc(s * c)
         if g.is_constant():
-            return RationalFunction(num, a1 * other.den, _reduced=True)
+            return _make(s, num, a1 * other.den)
         _, num, g = gcd_cofactors(num, g)
-        return RationalFunction(num, a1 * a2 * g, _reduced=True)
+        return _make(s, num, a1 * a2 * g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, _reduced=True)
+        return _make(-self.scalar, self.prim, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -1185,21 +1206,21 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.num.is_zero() or other.num.is_zero():
+        if not self.scalar or not other.scalar:
             return RF_ZERO
-        if self.den == P_ONE and other.den == P_ONE:
-            return RationalFunction(self.num * other.num, P_ONE, _reduced=True)
-        _, n1, d2 = gcd_cofactors(self.num, other.den)
-        _, n2, d1 = gcd_cofactors(other.num, self.den)
-        return RationalFunction(n1 * n2, d1 * d2, _reduced=True)
+        s = _normc(self.scalar * other.scalar)
+        if self.den.is_constant() and other.den.is_constant():
+            return _make(s, self.prim * other.prim, P_ONE)
+        _, n1, d2 = gcd_cofactors(self.prim, other.den)
+        _, n2, d1 = gcd_cofactors(other.prim, self.den)
+        return _make(s, n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.num.is_zero():
+        if not self.scalar:
             raise ZeroDivisionError("inverting zero rational function")
-        c = self.num.content_signed()
-        return RationalFunction(self.den.scale(1 / c), self.num.scale(1 / c), _reduced=True)
+        return _make(_quo(1, self.scalar), self.den, self.prim)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -1222,7 +1243,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.scalar == other.scalar and self.prim == other.prim and self.den == other.den
 
     def __hash__(self):
         if self._hash is None:
@@ -1230,12 +1251,19 @@ class RationalFunction:
         return self._hash
 
     def rename(self, mapping):
-        return RationalFunction(self.num.rename(mapping), self.den.rename(mapping))
+        # a renaming can change which term leads, so signs are fixed up
+        s = self.scalar
+        prim = self.prim.rename(mapping)
+        den = self.den.rename(mapping)
+        if prim and prim.leading()[1] < 0:
+            prim, s = -prim, -s
+        if den.leading()[1] < 0:
+            den, s = -den, -s
+        return _make(s, prim, den)
 
     def raise_exponents(self, n):
-        return RationalFunction(
-            self.num.raise_exponents(n), self.den.raise_exponents(n), _reduced=True
-        )
+        # x -> x^n keeps the graded-lex order, so the leading terms stay
+        return _make(self.scalar, self.prim.raise_exponents(n), self.den.raise_exponents(n))
 
     def specialize(self, assignment):
         """Substitute indeterminates by RationalFunction or Polynomial values.
@@ -1255,15 +1283,16 @@ class RationalFunction:
                 )
             else:
                 raise TypeError("bad substitution value for %s" % name)
-        if all(v.is_polynomial() and len(v.num.terms) <= 1 for v in assign.values()):
+        if all(v.is_polynomial() and len(v.prim.terms) <= 1 for v in assign.values()):
             polys = {k: v.num for k, v in assign.items()}
-            num = self.num.eval_poly(polys)
+            num = self.prim.eval_poly(polys)
             den = self.den.eval_poly(polys)
             if den.is_zero():
                 raise PoleError(
                     "denominator %s vanishes under %s" % (self.den, _fmt_assign(assignment))
                 )
-            return RationalFunction(num, den)
+            s, num, den = _reduce_fraction(num, den)
+            return _make(_normc(s * self.scalar), num, den)
         num = _eval_rf(self.num, assign)
         den = _eval_rf(self.den, assign)
         if den.is_zero():
@@ -1273,13 +1302,13 @@ class RationalFunction:
         return num / den
 
     def total_degree(self):
-        return max(self.num.total_degree(), self.den.total_degree())
+        return max(self.prim.total_degree(), self.den.total_degree())
 
     def __str__(self):
-        if self.den == P_ONE:
+        if self.den.is_constant():
             return str(self.num)
         num = str(self.num)
-        if len(self.num.terms) > 1:
+        if len(self.prim.terms) > 1:
             num = "(%s)" % num
         return "%s/(%s)" % (num, self.den)
 
@@ -1306,6 +1335,65 @@ class RationalFunction:
             raise ParseError("unterminated denominator in %r" % text)
         den_text = den_text[:-1]
         return RationalFunction(Polynomial.parse(num_text), Polynomial.parse(den_text))
+
+
+def _make(scalar, prim, den):
+    """The RationalFunction scalar * prim / den, its parts already in the
+    canonical form of the class."""
+    r = RationalFunction.__new__(RationalFunction)
+    r.scalar = scalar
+    r.prim = prim
+    r.den = den
+    r._num = None
+    r._hash = None
+    return r
+
+
+def _quo(a, b):
+    """a / b for rationals a and b != 0, an int when integral."""
+    if b == 1:
+        return a
+    return _normc(Fraction(a, b))
+
+
+def _join_scalars(s1, s2):
+    """(s, s1 / s, s2 / s) for nonzero rationals, s > 0 their gcd: the
+    gcd of the numerators over the lcm of the denominators, so both
+    quotients are ints."""
+    n = _int_gcd(s1.numerator, s2.numerator)
+    d = _int_lcm(s1.denominator, s2.denominator)
+    return _quo(n, d), s1.numerator // n * (d // s1.denominator), s2.numerator // n * (d // s2.denominator)
+
+
+def _content(p):
+    """(p.content_signed(), whether every coefficient of p is an int)."""
+    if not p.terms:
+        return 1, True
+    num = 0
+    den = 1
+    ints = True
+    for c in p.terms.values():
+        if type(c) is int:
+            num = _int_gcd(num, c)
+        else:
+            ints = False
+            num = _int_gcd(num, c.numerator)
+            den = den * c.denominator // _int_gcd(den, c.denominator)
+    if p.leading()[1] < 0:
+        num = -num
+    return (num if den == 1 else Fraction(num, den)), ints
+
+
+def _split_content(p):
+    """(c, p / c) with c = p.content_signed(), an int when integral: p / c
+    has coprime int coefficients and a positive leading coefficient."""
+    c, ints = _content(p)
+    if c == 1 and ints:
+        return 1, p
+    n, d = c.numerator, c.denominator
+    if d == 1:
+        return c, Polynomial._raw(p.vars, {e: k // n for e, k in p.terms.items()})
+    return c, Polynomial._raw(p.vars, {e: k * d // n for e, k in p.terms.items()})
 
 
 def _fmt_assign(assignment):
@@ -1338,22 +1426,19 @@ def _eval_rf(poly, assign):
 
 
 def _reduce_fraction(num, den):
+    """(scalar, prim, den) of num / den in the form of RationalFunction:
+    the contents are split off first, so the gcd sees integer inputs."""
     if num.is_zero():
-        return P_ZERO, P_ONE
+        return 0, P_ZERO, P_ONE
+    cn, num = _split_content(num)
+    cd, den = _split_content(den)
     if den.is_constant():
-        c = den.constant_value()
-        if c == 1:
-            return num, P_ONE
-        return num.scale(Fraction(1) / c), P_ONE
-    _, num, den = gcd_cofactors(num, den)
-    c = den.content_signed()
-    if c != 1:
-        num = num.scale(1 / c)
-        den = den.scale(1 / c)
-    if den.is_constant():
-        num = num.scale(Fraction(1) / den.constant_value())
         den = P_ONE
-    return num, den
+    else:
+        _, num, den = gcd_cofactors(num, den)
+        if den.is_constant():
+            den = P_ONE
+    return _quo(cn, cd), num, den
 
 
 def normalize_fraction(num, den):
@@ -1424,11 +1509,19 @@ def reduce_by_factors(num, factors, unit=1):
     """num / (unit * prod f^m over the pairs (f, m) in factors) as a reduced
     RationalFunction.
 
-    The f must be distinct irreducible polynomials, each primitive
-    with positive leading coefficient, and unit a nonzero rational. Each
-    factor is divided out of num for as long as it divides; what is left
-    of the denominator is coprime to the numerator, so no gcd is needed.
+    num is a Polynomial, or a RationalFunction with denominator 1 whose
+    scalar and primitive part are taken as they are. The f must be
+    distinct irreducible polynomials, each primitive with positive
+    leading coefficient, and unit a nonzero rational. Each factor is
+    divided out of num for as long as it divides; what is left of the
+    denominator is coprime to the numerator, so no gcd is needed.
     """
+    if isinstance(num, RationalFunction):
+        if not num.is_polynomial():
+            raise ValueError("numerator %s is not a polynomial" % num)
+        c, num = num.scalar, num.prim
+    else:
+        c, num = _split_content(num)
     if num.is_zero():
         return RF_ZERO
     den = P_ONE
@@ -1441,13 +1534,15 @@ def reduce_by_factors(num, factors, unit=1):
             m -= 1
         if m:
             den = den * f**m
-    return RationalFunction(num.scale(Fraction(1) / unit), den, _reduced=True)
+    # the cofactors of primitive polynomials with positive leading
+    # coefficients are such polynomials too (Gauss)
+    return _make(_quo(c, unit), num, den)
 
 
 # -- quadratic extension for the genus-g hook numerators ----------------------
 
 
-_ZW = Polynomial.var("Z") * Polynomial.var("W")
+_ZW = RationalFunction.var("Z") * RationalFunction.var("W")
 
 
 class HookField:
@@ -1501,9 +1596,8 @@ class HookField:
             return NotImplemented
         if self.odd.is_zero() and other.odd.is_zero():
             return HookField(self.base * other.base)
-        zw = RationalFunction(_ZW)
         return HookField(
-            self.base * other.base + self.odd * other.odd * zw,
+            self.base * other.base + self.odd * other.odd * _ZW,
             self.base * other.odd + self.odd * other.base,
         )
 
@@ -1511,8 +1605,7 @@ class HookField:
 
     def inverse(self):
         # conjugate trick: (a + b eps)(a - b eps) = a^2 - b^2 Z W
-        zw = RationalFunction(_ZW)
-        norm = self.base * self.base - self.odd * self.odd * zw
+        norm = self.base * self.base - self.odd * self.odd * _ZW
         if norm.is_zero():
             raise ZeroDivisionError("non-invertible hook-field element")
         inv = norm.inverse()
@@ -1544,7 +1637,7 @@ class HookField:
         odd = self.odd.raise_exponents(n)
         if self.odd.is_zero():
             return HookField(base)
-        shift = RationalFunction(_ZW ** (n // 2)) if n // 2 else RF_ONE
+        shift = _ZW ** (n // 2)
         if n % 2:
             return HookField(base, odd * shift)
         return HookField(base + odd * shift, RF_ZERO)
@@ -1561,7 +1654,7 @@ class HookField:
         if eps_value is None:
             raise ValueError("element has an eps part but no eps value was given")
         eps_value = rf(eps_value)
-        zw = RationalFunction(_ZW).specialize(assignment)
+        zw = _ZW.specialize(assignment)
         if eps_value * eps_value != zw:
             raise ValueError("eps value %s is inconsistent with Z*W = %s" % (eps_value, zw))
         return base + self.odd.specialize(assignment) * eps_value

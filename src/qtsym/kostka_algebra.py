@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import product
+from math import lcm as _int_lcm
 from math import prod
 
 from .coeffring import P_ONE, P_ZERO, RF_ONE, Polynomial, gcd_cofactors, reduce_by_factors, rf
@@ -110,26 +111,35 @@ def _inverse_kostka_sum(weights, table):
 def _macdonald_sum(terms):
     """The sum of x*w over the (eta, x, w) triples of RationalFunctions,
     reduced once: the denominator of x is split against the factors of
-    a_eta, and what is left of it joins the denominator of w in one lcm."""
+    a_eta, and what is left of it joins the denominator of w in one lcm.
+    The products of primitive parts are summed on ints, each times its
+    scalar over the lcm of the scalars' denominators. One term with a
+    constant w is x*w, already reduced."""
+    terms = [(eta, x, w) for eta, x, w in terms if x and w]
+    if len(terms) == 1 and terms[0][2].is_constant():
+        return terms[0][1] * terms[0][2]
     scaled = []
     common = {}
     lcm = P_ONE
+    unit = 1
     for eta, x, w in terms:
-        if x and w:
-            mult, rest = _norm_split(x.den, eta)
-            den = rest * w.den
-            lcm = lcm * gcd_cofactors(lcm, den)[2]
-            scaled.append((x.num * w.num, dict(mult), den))
-            for f, m in mult:
-                common[f] = max(common.get(f, 0), m)
+        mult, rest = _norm_split(x.den, eta)
+        den = rest * w.den
+        lcm = lcm * gcd_cofactors(lcm, den)[2]
+        s = x.scalar * w.scalar
+        unit = _int_lcm(unit, s.denominator)
+        scaled.append((s, x.prim * w.prim, dict(mult), den))
+        for f, m in mult:
+            common[f] = max(common.get(f, 0), m)
     num = P_ZERO
-    for term, mult, den in scaled:
+    for s, term, mult, den in scaled:
         for f, m in common.items():
             extra = m - mult.get(f, 0)
             if extra:
                 term = term * f**extra
-        num = num + term * lcm.divexact(den)
-    out = reduce_by_factors(num, common.items())
+        k = s.numerator * (unit // s.denominator)
+        num = num + (term * lcm.divexact(den)).scale(k)
+    out = reduce_by_factors(num, common.items(), unit)
     return out if lcm == P_ONE else out / lcm
 
 

@@ -25,8 +25,10 @@ Every sum over the conjugacy classes kappa of S_n (the monomial to
 power-sum map, the checks of the characterization, the Kostka entries
 and the numerators of the inverse) runs on integers (class_sum): z_kappa
 times a power-sum coefficient and the class size n!/z_kappa times a
-character are integers, so every term is an integer polynomial and the
-sum ends with one exact division by z_kappa or n!.
+character are integers, so every term is an integer polynomial. The
+content of the integer sum over z_kappa or n! becomes the rational
+scalar of the result, beside its primitive integer part (see
+coeffring.RationalFunction), so no coefficient is ever a Fraction.
 """
 
 from __future__ import annotations
@@ -98,11 +100,13 @@ class MacdonaldTable:
 
 
 def class_sum(pairs, divisor=1):
-    """(sum of w * p over the (w, p) pairs) / divisor, summed on ints.
+    """(sum of w * p over the (w, p) pairs) / divisor, summed on ints, as
+    a RationalFunction.
 
     Each w * c, for a weight w and a coefficient c of its polynomial p,
     must be an integer: one that is not raises ValueError, and is never
-    truncated. The divisor is applied once, exactly, to the sum.
+    truncated. The divisor joins the content of the integer sum, which
+    becomes the rational scalar of the result.
     """
     groups = {}
     for w, p in pairs:
@@ -125,23 +129,28 @@ def class_sum(pairs, divisor=1):
             acc[e] = acc.get(e, 0) + c
     total = P_ZERO
     for names, acc in groups.items():
-        for e, c in acc.items():
-            quo, rem = divmod(c, divisor)
-            acc[e] = Fraction(c, divisor) if rem else quo
         part = Polynomial(names, acc)
         total = part if total is P_ZERO else total + part
-    return total
+    return reduce_by_factors(total, (), divisor)
 
 
 def _class_weighted(n, coeffs):
     """(kappa, n!/z_kappa, z_kappa * c) for the power-sum coefficients c:
     the class size and an integer polynomial, so a character sum
-    sum_kappa chi_kappa c_kappa is class_sum over n! of integer terms."""
+    sum_kappa chi_kappa c_kappa is class_sum over n! of integer terms.
+
+    z_kappa * c is read off the scalar of c, since its primitive part has
+    coprime integer coefficients; ValueError unless it is an integer
+    polynomial."""
     size = factorial(n)
-    return [
-        (kappa, size // kappa.z(), class_sum([(kappa.z(), c.as_polynomial())]))
-        for kappa, c in coeffs.items()
-    ]
+    out = []
+    for kappa, c in coeffs.items():
+        z = kappa.z()
+        w = z * c.scalar
+        if w.denominator != 1 or not c.is_polynomial():
+            raise ValueError("class-weighted coefficient %s is not an integer polynomial" % (c * z))
+        out.append((kappa, size // z, c.prim.scale(w)))
+    return out
 
 
 def _filling_weights(mu, lam):
@@ -208,9 +217,9 @@ def _htilde_hhl(n, rho):
     coeffs = {}
     for kappa in parts:
         z = kappa.z()
-        coeffs[kappa] = rf(class_sum(
+        coeffs[kappa] = class_sum(
             ((z * m_to_p(lam).get(kappa, 0), w) for lam, w in fillings), z
-        ))
+        )
     _verify_solution(n, rho, coeffs)
     return {kappa: c for kappa, c in coeffs.items() if not c.is_zero()}
 
@@ -252,9 +261,9 @@ def build_table(n):
     for rho in parts:
         weighted = _class_weighted(n, htilde[rho])
         for lam in parts:
-            kostka[(lam, rho)] = rf(class_sum(
+            kostka[(lam, rho)] = class_sum(
                 ((w * mn_character(lam, kappa), c) for kappa, w, c in weighted), size
-            ))
+            )
     norms = {lam: rf(norm_product(lam)) for lam in parts}
     table = finish_table(n, htilde, kostka, norms)
     _TABLES[n] = table
@@ -275,7 +284,7 @@ def expansions_from_kostka(n, kostka):
         for kappa in parts:
             c = class_sum(((mn_character(lam, kappa), k) for lam, k in column), kappa.z())
             if c:
-                coeffs[kappa] = rf(c)
+                coeffs[kappa] = c
         _verify_solution(n, rho, coeffs)
         htilde[rho] = coeffs
     return htilde

@@ -85,7 +85,14 @@ def _mn(lam, rho):
 
 
 def _merge_parts(a, b):
-    return Partition(sorted(tuple(a) + tuple(b), reverse=True))
+    """The partition whose parts are those of the partitions a and b. The
+    sorted parts of two valid partitions are valid, so they are not
+    validated again."""
+    if not b:
+        return a
+    if not a:
+        return b
+    return tuple.__new__(Partition, sorted(a + b, reverse=True))
 
 
 def _convolve(da, db):

@@ -428,6 +428,128 @@ def test_rf_add_and_mul_match_the_reduced_reference(case):
         assert got.den.content_signed() == 1
 
 
+def _assert_canonical(x):
+    """x is scalar * prim / den with prim and den primitive integer
+    polynomials with positive leading coefficient, and num their product."""
+    assert type(x.scalar) is int or x.scalar.denominator != 1
+    assert x.num == x.prim.scale(x.scalar)
+    if x.is_zero():
+        assert x.prim.is_zero() and x.den == P_ONE
+        return
+    for p in (x.prim, x.den):
+        assert all(type(c) is int for c in p.terms.values()), x
+        assert p.content_signed() == 1, x
+
+
+def _ref_reduce(num, den):
+    """num / den reduced the plain way: Fraction-coefficient polynomials,
+    divided by their gcd from the primitive PRS, the denominator made
+    primitive with a positive leading coefficient."""
+    if num.is_zero():
+        return Polynomial.const(0), P_ONE
+    if not num.is_constant() and not den.is_constant():
+        g = _gcd_prs(num.canonical(), den.canonical())
+        num, den = num.divexact(g), den.divexact(g)
+    c = den.content_signed()
+    return num.scale(Fraction(1) / c), den.scale(Fraction(1) / c)
+
+
+def _ref_text(num, den):
+    if den.is_constant():
+        return str(num)
+    text = str(num)
+    if len(num.terms) > 1:
+        text = "(%s)" % text
+    return "%s/(%s)" % (text, den)
+
+
+def _ref_add(a, b):
+    if a[1] == b[1]:
+        return _ref_reduce(a[0] + b[0], a[1])
+    return _ref_reduce(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+
+
+def _ref_mul(a, b):
+    return _ref_reduce(a[0] * b[0], a[1] * b[1])
+
+
+_QT_FACTORS = [f.rename({"Z": "q", "W": "t"}) for f in _ZW_FACTORS]
+
+
+@st.composite
+def _rational_polys(draw, names):
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2) for _ in names]),
+            _fractions.filter(bool),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return Polynomial(names, terms)
+
+
+@st.composite
+def _plain_fraction_pairs(draw):
+    """(names, (n1, d1), (n2, d2)): numerators and denominators over Q in
+    (q,t) or (Z,W), the denominators built from hook-binomial pieces, some
+    of them shared, a rational constant and maybe a random polynomial.
+    The second fraction may be the first scaled or negated, or a constant."""
+    names = draw(st.sampled_from([("q", "t"), ("Z", "W")]))
+    pieces = _ZW_FACTORS if names == ("Z", "W") else _QT_FACTORS
+    shared = draw(st.lists(st.sampled_from(pieces), max_size=2))
+
+    def fraction():
+        den = Polynomial.const(draw(_fractions.filter(bool)))
+        for f in shared + draw(st.lists(st.sampled_from(pieces), max_size=2)):
+            den = den * f
+        if draw(st.booleans()):
+            den = den * draw(_rational_polys(names))
+        return draw(_rational_polys(names)), den
+
+    first = fraction()
+    kind = draw(st.sampled_from(["shared", "scaled", "negated", "constant"]))
+    if kind == "shared":
+        second = fraction()
+    elif kind == "scaled":
+        second = first[0].scale(draw(_fractions.filter(bool))), first[1]
+    elif kind == "negated":
+        second = -first[0], first[1]
+    else:
+        second = Polynomial.const(draw(_fractions)), P_ONE
+    return names, first, second
+
+
+@settings(max_examples=80, deadline=None)
+@given(_plain_fraction_pairs(), st.integers(2, 3))
+def test_rf_arithmetic_matches_plain_fraction_arithmetic(case, k):
+    names, a, b = case
+    x, y = RationalFunction(*a), RationalFunction(*b)
+    swap = {names[0]: names[1], names[1]: names[0]}
+    checks = [
+        (x, a),
+        (y, b),
+        (x + y, _ref_add(a, b)),
+        (x * y, _ref_mul(a, b)),
+        (-x, (-a[0], a[1])),
+        (x.raise_exponents(k), (a[0].raise_exponents(k), a[1].raise_exponents(k))),
+        (x.rename(swap), (a[0].rename(swap), a[1].rename(swap))),
+    ]
+    if x:
+        checks.append((x.inverse(), (a[1], a[0])))
+    if names == ("Z", "W"):
+        # (x + eps/2)(1 + y eps) = (x + y ZW/2) + (xy + 1/2) eps
+        h = HookField(x, Fraction(1, 2)) * HookField(1, y)
+        half = (Polynomial.const(Fraction(1, 2)), P_ONE)
+        checks.append((h.base, _ref_add(a, _ref_mul(_ref_mul(b, (Z * W, P_ONE)), half))))
+        checks.append((h.odd, _ref_add(_ref_mul(a, b), half)))
+    for got, (num, den) in checks:
+        _assert_canonical(got)
+        num, den = _ref_reduce(num, den)
+        assert got.num == num and got.den == den
+        assert repr(got) == "RationalFunction(%s)" % _ref_text(num, den)
+
+
 def test_eval_poly_renaming_and_kept_variables():
     p = 3 * q**2 * t + q - Fraction(1, 2) * t**3
     # a renaming onto a kept variable merges exponents

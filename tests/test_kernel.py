@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from qtsym.coeffring import HookField, Polynomial, gcd_path_counts, rf
+from qtsym.coeffring import HookField, Polynomial, RationalFunction, gcd_path_counts, rf
 from qtsym.kernel import (
     cauchy_series,
     hook_factor,
@@ -238,3 +238,24 @@ def test_cauchy_series_takes_no_prs_fallback():
     after = gcd_path_counts()
     assert after["bivariate"] > before["bivariate"]
     assert after["prs"] == before["prs"]
+
+
+def _rational_coefficients(F):
+    for c in F.terms.values():
+        if isinstance(c, HookField):
+            yield c.base
+            yield c.odd
+        else:
+            yield c
+
+
+@pytest.mark.parametrize("args", [(3, 1, 2), (3, 0, 4)])
+def test_kernel_coefficients_are_scalar_times_primitive_integer_parts(args):
+    for c in _rational_coefficients(kernel(*args)):
+        assert c.num == c.prim.scale(c.scalar)
+        if c:
+            for p in (c.prim, c.den):
+                assert all(type(k) is int for k in p.terms.values()), c
+                assert p.content_signed() == 1, c
+        again = RationalFunction(c.num, c.den)
+        assert again == c and repr(again) == repr(c)

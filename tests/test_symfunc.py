@@ -2,11 +2,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtsym.coeffring import Polynomial, rf
 from qtsym.partitions import Partition, partitions_of
 from qtsym.symfunc import (
     SymFunc,
+    _merge_parts,
     basis_element,
     e_elem,
     expand1,
@@ -197,3 +200,15 @@ def test_qt_pairing_values():
     F = p_elem(Partition((2,)), 0, 2) * p_elem(Partition((1, 1)), 1, 2)
     G = p_elem(Partition((2,)), 0, 2) * p_elem(Partition((1, 1)), 1, 2)
     assert hall_scalar(F, G) == rf(2 * 2)  # z_(2) * z_(1,1)
+
+
+_partitions = st.lists(st.integers(1, 6), max_size=6).map(lambda xs: Partition(sorted(xs, reverse=True)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_partitions, _partitions)
+def test_merged_parts_equal_the_validated_partition(a, b):
+    got = _merge_parts(a, b)
+    want = Partition(sorted(a + b, reverse=True))
+    assert type(got) is Partition
+    assert got == want and hash(got) == hash(want)
