@@ -1,12 +1,15 @@
 """Command-line frontend and the Macdonald table disk cache.
 
 Table cache files are plain JSON with string-encoded polynomials so they
-can be inspected and diffed; reloading one reproduces the in-memory
-table bit for bit. The power-sum expansions are reconstructed exactly
-from the Kostka entries through the character table, and each is checked
-against the characterization of H~, which has one solution: a file whose
-entries differ from the built table's is a CacheMiss, and load_or_build
-rebuilds the table and rewrites the file.
+can be inspected and diffed. A file holds only the Kostka entries K~;
+reloading one reproduces the in-memory table bit for bit. The power-sum
+expansions are reconstructed exactly from the Kostka entries through the
+character table, and each is checked against the characterization of
+H~, which has one solution: a file whose entries differ from the built
+table's, or that has another format version, is a CacheMiss, and
+load_or_build rebuilds the table and rewrites the file. A reloaded
+table goes in through macdonald.register_table, the one way in for a
+table built elsewhere.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .macdonald import (
     build_table,
     expansions_from_kostka,
     finish_table,
-    norm_product,
     register_table,
 )
 from .partitions import Partition, parse_partition, partitions_of
@@ -42,6 +44,7 @@ from .quiver import (
 )
 from .symfunc import (
     DegreeCapError,
+    degree_cap,
     e_elem,
     expand1,
     format_basis_expansion,
@@ -52,7 +55,7 @@ from .symfunc import (
 )
 from .verify import SUITES, run_suite
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 CACHE_ENV_VAR = "MACDONALD_CACHE_DIR"
 
 
@@ -75,7 +78,6 @@ def cache_save(table, cache_dir):
             [str(table.kostka_entry(lam, rho).as_polynomial()) for rho in parts]
             for lam in parts
         ],
-        "norms": [str(table.norm(lam).as_polynomial()) for lam in parts],
     }
     path = _cache_path(cache_dir, table.n)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -118,20 +120,13 @@ def cache_load(n, cache_dir):
         for i, lam in enumerate(parts):
             for j, rho in enumerate(parts):
                 kostka[(lam, rho)] = rf(Polynomial.parse(doc["kostka"][i][j]))
-        norms = {
-            lam: rf(Polynomial.parse(doc["norms"][i])) for i, lam in enumerate(parts)
-        }
     except (KeyError, IndexError, ParseError, ValueError) as exc:
         raise CacheMiss("corrupt cache %s: %s" % (path, exc))
-    # sanity: norms must match the cell-product formula
-    for lam in parts:
-        if norms[lam] != rf(norm_product(lam)):
-            raise CacheMiss("cache norms disagree with the cell product")
     try:
         htilde = expansions_from_kostka(n, kostka)
     except (SingularSystem, ValueError) as exc:
         raise CacheMiss("cache Kostka entries rejected: %s" % exc)
-    return finish_table(n, htilde, kostka, norms)
+    return finish_table(n, htilde, kostka)
 
 
 def load_or_build(n, cache_dir=None):
@@ -324,23 +319,12 @@ def _cmd_poincare(args, emit):
     return 0
 
 
-def _cmd_ctrace(args, emit):
+def _cmd_column(args, emit):
+    """ctrace and mixed-hodge: one column coefficient from args.evaluate."""
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
     _load_tables(mu.size, args.cache_dir)
-    val = c_from_trace(mu, nu)
-    if args.json:
-        emit(json.dumps({"mu": list(mu), "nu": list(nu), "value": str(val)}))
-    else:
-        emit(str(val))
-    return 0
-
-
-def _cmd_mixed_hodge(args, emit):
-    mu = parse_partition(args.mu)
-    nu = parse_partition(args.nu)
-    _load_tables(mu.size, args.cache_dir)
-    val = mixed_hodge_rhs(mu, nu)
+    val = args.evaluate(mu, nu)
     if args.json:
         emit(json.dumps({"mu": list(mu), "nu": list(nu), "value": str(val)}))
     else:
@@ -404,12 +388,12 @@ def build_parser():
     p = sub.add_parser("ctrace", help="column coefficient at q=0 via the trace formula")
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
-    p.set_defaults(func=_cmd_ctrace)
+    p.set_defaults(func=_cmd_column, evaluate=c_from_trace)
 
     p = sub.add_parser("mixed-hodge", help="conjectural column coefficient")
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
-    p.set_defaults(func=_cmd_mixed_hodge)
+    p.set_defaults(func=_cmd_column, evaluate=mixed_hodge_rhs)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all", choices=sorted(SUITES))
@@ -434,8 +418,10 @@ _ERRORS = (
 
 
 def main(argv=None):
+    """Run one command; a --max-n cap holds for that command only."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    cap = degree_cap()
     if getattr(args, "max_n", None) is not None and args.command != "verify":
         set_degree_cap(args.max_n)
     try:
@@ -443,6 +429,8 @@ def main(argv=None):
     except _ERRORS as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
+    finally:
+        set_degree_cap(cap)
 
 
 if __name__ == "__main__":

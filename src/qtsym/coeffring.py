@@ -1505,6 +1505,19 @@ def binomial_factors(x, a, y, b):
     return unit, tuple(factors)
 
 
+def divide_out(num, f, m):
+    """(num / f^k, k) for the largest k <= m such that f^k divides num:
+    f is divided out for as long as it divides, at most m times."""
+    k = 0
+    while k < m:
+        try:
+            num = num.divexact(f)
+        except ValueError:
+            break
+        k += 1
+    return num, k
+
+
 def reduce_by_factors(num, factors, unit=1):
     """num / (unit * prod f^m over the pairs (f, m) in factors) as a reduced
     RationalFunction.
@@ -1513,8 +1526,8 @@ def reduce_by_factors(num, factors, unit=1):
     scalar and primitive part are taken as they are. The f must be
     distinct irreducible polynomials, each primitive with positive
     leading coefficient, and unit a nonzero rational. Each factor is
-    divided out of num for as long as it divides; what is left of the
-    denominator is coprime to the numerator, so no gcd is needed.
+    divided out of num (divide_out); what is left of the denominator is
+    coprime to the numerator, so no gcd is needed.
     """
     if isinstance(num, RationalFunction):
         if not num.is_polynomial():
@@ -1526,14 +1539,9 @@ def reduce_by_factors(num, factors, unit=1):
         return RF_ZERO
     den = P_ONE
     for f, m in factors:
-        while m:
-            try:
-                num = num.divexact(f)
-            except ValueError:
-                break
-            m -= 1
-        if m:
-            den = den * f**m
+        num, k = divide_out(num, f, m)
+        if k < m:
+            den = den * f ** (m - k)
     # the cofactors of primitive polynomials with positive leading
     # coefficients are such polynomials too (Gauss)
     return _make(_quo(c, unit), num, den)
@@ -1553,9 +1561,6 @@ class HookField:
     def __init__(self, base, odd=None):
         self.base = rf(base)
         self.odd = rf(odd) if odd is not None else RF_ZERO
-
-    def is_pure(self):
-        return self.odd.is_zero()
 
     def is_zero(self):
         return self.base.is_zero() and self.odd.is_zero()

@@ -42,7 +42,7 @@ from .coeffring import (
     RationalFunction,
     rf,
 )
-from .macdonald import build_table, derived
+from .macdonald import build_table, derived, norm_product
 from .partitions import Partition, partitions_of
 from .plethysm import Series, log_series
 from .symfunc import SymFunc
@@ -52,37 +52,35 @@ _W = Polynomial.var("W")
 _V = Polynomial.var("v")
 _Qv = Polynomial.var("q")
 _Tv = Polynomial.var("t")
+_QT_TO_ZW = {"q": "Z", "t": "W"}
 
 
 def hook_factor(lam, genus):
     """Weight of one partition: squared-hook numerators to the power genus
-    over the two-parameter hook denominators, in (Z, W, eps)."""
+    over the two-parameter hook denominators, in (Z, W, eps). The
+    denominator is the norm a_lam with q, t renamed Z, W."""
     lam = Partition(lam)
+    weight = rf(norm_product(lam).rename(_QT_TO_ZW)).inverse()
+    if genus == 0:
+        return weight
     num = HF_ONE
-    den = Polynomial.const(1)
     for (i, j) in lam.cells():
         a = lam.arm(i, j)
         l = lam.leg(i, j)
-        den = den * (_Z ** (a + 1) - _W**l) * (_Z**a - _W ** (l + 1))
-        if genus:
-            cell = HookField(
-                rf(_Z ** (2 * a + 1) + _W ** (2 * l + 1)),
-                rf((_Z**a * _W**l).scale(-2)),
-            )
-            num = num * cell**genus
-    weight = num * rf(den).inverse()
-    if genus == 0:
-        return weight.base
-    return weight
+        cell = HookField(
+            rf(_Z ** (2 * a + 1) + _W ** (2 * l + 1)),
+            rf((_Z**a * _W**l).scale(-2)),
+        )
+        num = num * cell**genus
+    return num * weight
 
 
 @derived
 def _htilde_zw(n):
     """Power-sum expansions of the degree-n Macdonald elements in (Z, W)."""
     table = build_table(n)
-    ren = {"q": "Z", "t": "W"}
     return {
-        lam: {kappa: c.rename(ren) for kappa, c in table.htilde_p_dict(lam).items()}
+        lam: {kappa: c.rename(_QT_TO_ZW) for kappa, c in table.htilde_p_dict(lam).items()}
         for lam in table.partitions
     }
 

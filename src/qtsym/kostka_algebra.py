@@ -13,8 +13,9 @@ the norm a_eta, whose irreducible factors are known
 sum over the per-factor maximum of its denominators and reduces it once
 by exact division, with no gcd; a denominator part foreign to a_eta, as
 from an operand with rational coefficients, goes into one lcm that is
-divided out at the end. A caller's table whose L denominators do not
-divide the norms is rejected with ValueError where it enters.
+divided out at the end. Every operation reads the registered table of
+its degree (macdonald.build_table); a table built elsewhere goes in
+through macdonald.register_table.
 
 The adjoint operators psi_F are diagonal in the Macdonald basis; with
 F = e_n this is the nabla operator of Bergeron and Garsia, whose pairing
@@ -28,7 +29,7 @@ from itertools import product
 from math import lcm as _int_lcm
 from math import prod
 
-from .coeffring import P_ONE, P_ZERO, RF_ONE, Polynomial, gcd_cofactors, reduce_by_factors, rf
+from .coeffring import P_ONE, P_ZERO, RF_ONE, Polynomial, divide_out, gcd_cofactors, reduce_by_factors, rf
 from .macdonald import (
     build_table,
     corner_free_product,
@@ -56,43 +57,20 @@ def _require_degree(F):
     return next(iter(degs))
 
 
-def structure_coefficients_all(factors, table=None):
-    """dict target -> c^target_factors for one tuple of factors.
-
-    Memoized for the registered tables only: a result computed from a
-    caller's table is neither cached nor served from the cache.
-    """
+def structure_coefficients_all(factors):
+    """dict target -> c^target_factors for one tuple of factors."""
     factors = tuple(sorted(Partition(m) for m in factors))
     if not factors:
         raise ValueError("need at least one factor")
     n = factors[0].size
     if any(m.size != n for m in factors):
         raise ValueError("all factors must have equal size")
-    if table is not None:
-        return _structure_coefficients(factors, _table_of_degree(n, table))
-    return _registered_coefficients(factors)
+    return _structure_coefficients(factors)
 
 
 @derived
-def _registered_coefficients(factors):
-    return _structure_coefficients(factors, build_table(factors[0].size))
-
-
-def _table_of_degree(n, table):
-    """table, or the registered degree-n table when table is None;
-    ValueError when a caller's table has another degree or a K~^-1
-    denominator that does not divide the norm a_eta."""
-    if table is None:
-        return build_table(n)
-    if table.n != n:
-        raise ValueError("table has degree %d, operands have degree %d" % (table.n, n))
-    for (eta, _), entry in table.kostka_inv.items():
-        if _norm_split(entry.den, eta)[1] != P_ONE:
-            raise ValueError("denominator %s does not divide the norm of %s" % (entry.den, eta))
-    return table
-
-
-def _structure_coefficients(factors, table):
+def _structure_coefficients(factors):
+    table = build_table(factors[0].size)
     weights = {
         eta: prod((table.kostka_entry(mu, eta) for mu in factors), start=RF_ONE)
         for eta in table.partitions
@@ -151,30 +129,24 @@ def _norm_split(den, eta):
     rest = den
     out = []
     for f, m in norm_factors(eta)[1]:
-        k = 0
-        while k < m:
-            try:
-                rest = rest.divexact(f)
-            except ValueError:
-                break
-            k += 1
+        rest, k = divide_out(rest, f, m)
         if k:
             out.append((f, k))
     return tuple(out), rest
 
 
-def structure_coefficient(factors, target, table=None):
+def structure_coefficient(factors, target):
     """c^target_factors: the Schur coefficient of the iterated product."""
     target = Partition(target)
     factors = [Partition(m) for m in factors]
     if factors and target.size != factors[0].size:
         raise ValueError("all partitions must have equal size")
-    return structure_coefficients_all(factors, table)[target]
+    return structure_coefficients_all(factors)[target]
 
 
-def macdonald_expansion(G, table=None):
+def macdonald_expansion(G):
     """Coefficients of G on the modified Macdonald basis."""
-    table = _table_of_degree(_require_degree(G), table)
+    table = build_table(_require_degree(G))
     schur = expand1(G, "schur")
     out = {}
     for eta in table.partitions:
@@ -184,14 +156,18 @@ def macdonald_expansion(G, table=None):
     return out
 
 
-def from_macdonald_expansion(coeffs, table):
+def from_macdonald_expansion(coeffs):
     """sum over eta of H~_eta * coeffs[eta]: the inverse of macdonald_expansion."""
-    return _htilde_sum(coeffs, table, 1)
+    return _htilde_sum(coeffs, 1)
 
 
-def _htilde_sum(coeffs, table, k):
+def _htilde_sum(coeffs, k):
     """sum over eta of coeffs[eta] * H~_eta[X_1] ... H~_eta[X_k], through its
-    Schur coefficients sum_eta coeffs[eta] * prod_j K~[lam_j, eta]."""
+    Schur coefficients sum_eta coeffs[eta] * prod_j K~[lam_j, eta]; zero
+    when coeffs is empty."""
+    if not coeffs:
+        return SymFunc.zero(k)
+    table = build_table(Partition(next(iter(coeffs))).size)
     return _schur_sum({
         key: _macdonald_sum(
             (eta, rf(c), prod((table.kostka_entry(lam, eta) for lam in key), start=RF_ONE))
@@ -224,10 +200,9 @@ def kostka_product(F, G):
     return _schur_sum({(lam,): c for lam, c in _inverse_kostka_sum(weights, table).items()}, 1)
 
 
-def delta_sharp(G, table=None):
+def delta_sharp(G):
     """The coproduct: the Macdonald basis maps to its two-alphabet square."""
-    coeffs = macdonald_expansion(G, table)
-    return _htilde_sum(coeffs, table or build_table(_require_degree(G)), 2)
+    return _htilde_sum(macdonald_expansion(G), 2)
 
 
 def psi(F, G):
@@ -241,11 +216,11 @@ def psi(F, G):
         raise ValueError("degree mismatch")
     table = build_table(n)
     weighted = {}
-    for eta, c in macdonald_expansion(G, table).items():
+    for eta, c in macdonald_expansion(G).items():
         eig = hall_scalar(F, table.htilde_sym(eta))
         if not eig.is_zero():
             weighted[eta] = c * eig
-    return from_macdonald_expansion(weighted, table)
+    return from_macdonald_expansion(weighted)
 
 
 def nabla_eigenvalue(lam):
@@ -256,11 +231,9 @@ def nabla_eigenvalue(lam):
 
 def nabla(G, power=1):
     """The nabla operator (psi of the top elementary symmetric function)."""
-    n = _require_degree(G)
-    table = build_table(n)
-    coeffs = macdonald_expansion(G, table)
+    coeffs = macdonald_expansion(G)
     return from_macdonald_expansion(
-        {eta: c * nabla_eigenvalue(eta) ** power for eta, c in coeffs.items()}, table
+        {eta: c * nabla_eigenvalue(eta) ** power for eta, c in coeffs.items()}
     )
 
 
@@ -297,4 +270,4 @@ def garsia_haiman_sum(n):
         weight = rf(phi_weight(lam) * corner_free_product(lam)) / table.norm(lam)
         if not weight.is_zero():
             weights[lam] = weight
-    return from_macdonald_expansion(weights, table) * rf((_Q - 1) * (1 - _T))
+    return from_macdonald_expansion(weights) * rf((_Q - 1) * (1 - _T))

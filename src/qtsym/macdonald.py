@@ -13,8 +13,9 @@ of degree-n power sums:
   (c) H[1; q,t] = 1, i.e. the power-sum coefficients sum to 1.
 
 Any violation raises SingularSystem. The table bundles the Schur-basis
-transition matrix (the modified Kostka polynomials), its inverse, and
-the squared norms for the (q,t)-Hall pairing.
+transition matrix (the modified Kostka polynomials) and its inverse; the
+squared norms for the (q,t)-Hall pairing are a closed-form product over
+the cells (norm_product) and are not stored.
 
 The norms a_eta are products of binomials q^A - t^B whose irreducible
 factors are known in closed form (norm_factors). Each inverse entry is
@@ -58,17 +59,17 @@ _T = Polynomial.var("t")
 
 
 class MacdonaldTable:
-    """Degree-n table: power-sum expansions, Kostka matrix and inverse, norms."""
+    """Degree-n table: power-sum expansions, Kostka matrix and inverse.
+    The norms are recomputed from the cell product on each call."""
 
-    __slots__ = ("n", "partitions", "htilde", "kostka", "kostka_inv", "norms")
+    __slots__ = ("n", "partitions", "htilde", "kostka", "kostka_inv")
 
-    def __init__(self, n, partitions, htilde, kostka, kostka_inv, norms):
+    def __init__(self, n, partitions, htilde, kostka, kostka_inv):
         self.n = n
         self.partitions = partitions
         self.htilde = htilde
         self.kostka = kostka
         self.kostka_inv = kostka_inv
-        self.norms = norms
 
     def htilde_p_dict(self, rho):
         """Power-sum expansion of the modified Macdonald polynomial."""
@@ -84,7 +85,7 @@ class MacdonaldTable:
         return self.kostka_inv[(Partition(eta), Partition(lam))]
 
     def norm(self, lam):
-        return self.norms[Partition(lam)]
+        return rf(norm_product(lam))
 
     def __eq__(self, other):
         if not isinstance(other, MacdonaldTable):
@@ -95,7 +96,6 @@ class MacdonaldTable:
             and self.htilde == other.htilde
             and self.kostka == other.kostka
             and self.kostka_inv == other.kostka_inv
-            and self.norms == other.norms
         )
 
 
@@ -264,8 +264,7 @@ def build_table(n):
             kostka[(lam, rho)] = class_sum(
                 ((w * mn_character(lam, kappa), c) for kappa, w, c in weighted), size
             )
-    norms = {lam: rf(norm_product(lam)) for lam in parts}
-    table = finish_table(n, htilde, kostka, norms)
+    table = finish_table(n, htilde, kostka)
     _TABLES[n] = table
     return table
 
@@ -290,9 +289,9 @@ def expansions_from_kostka(n, kostka):
     return htilde
 
 
-def finish_table(n, htilde, kostka, norms):
-    """The MacdonaldTable of these expansions, Kostka entries and norms,
-    with the inverse Kostka matrix computed from them."""
+def finish_table(n, htilde, kostka):
+    """The MacdonaldTable of these expansions and Kostka entries, with the
+    inverse Kostka matrix computed from them."""
     parts = partitions_of(n)
     size = factorial(n)
     # Orthogonality turns inversion into pairings: the coefficient of the
@@ -306,7 +305,7 @@ def finish_table(n, htilde, kostka, norms):
         for lam in parts:
             num = class_sum((w * mn_character(lam, kappa), c) for kappa, w, c in scaled)
             kostka_inv[(eta, lam)] = reduce_by_factors(num, factors, unit * size)
-    return MacdonaldTable(n, parts, htilde, kostka, kostka_inv, norms)
+    return MacdonaldTable(n, parts, htilde, kostka, kostka_inv)
 
 
 def register_table(table):

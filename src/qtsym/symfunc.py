@@ -344,26 +344,6 @@ class SymFunc:
         res.terms = out
         return res
 
-    def degrees(self):
-        """Set of per-alphabet degree tuples occurring in the support."""
-        return {tuple(sum(p) for p in key) for key in self.terms}
-
-    def homogeneous_degree(self):
-        """The common per-alphabet degree tuple, or raise if mixed."""
-        degs = self.degrees()
-        if len(degs) > 1:
-            raise ValueError("not homogeneous: degrees %s" % sorted(degs))
-        return next(iter(degs)) if degs else (0,) * self.k
-
-    def homogeneous_component(self, d):
-        """Terms whose total degree across all alphabets is d."""
-        res = SymFunc.__new__(SymFunc)
-        res.k = self.k
-        res.terms = {
-            key: c for key, c in self.terms.items() if sum(sum(p) for p in key) == d
-        }
-        return res
-
     def tensor(self, other):
         """Juxtapose alphabets: result has self.k + other.k alphabets."""
         out = {}

@@ -7,8 +7,9 @@ import pytest
 
 from qtsym.cli import CacheMiss, cache_load, cache_save, load_or_build, main
 from qtsym.coeffring import Polynomial
-from qtsym.macdonald import build_table, clear_tables
+from qtsym.macdonald import build_table, clear_tables, norm_product
 from qtsym.partitions import Partition
+from qtsym.symfunc import degree_cap
 
 
 def run_cli(*argv, capsys=None):
@@ -131,6 +132,24 @@ def test_cache_version_and_corruption(tmp_path):
     assert fresh == rebuilt
 
 
+def test_format_one_cache_with_norms_is_rewritten(tmp_path):
+    # format 1 also stored the norms; such a file is stale, and is
+    # replaced by a format-2 file that holds only the Kostka entries
+    table = build_table(3)
+    path = cache_save(table, str(tmp_path))
+    doc = json.loads(open(path).read())
+    doc["format_version"] = 1
+    doc["norms"] = [str(norm_product(lam)) for lam in table.partitions]
+    open(path, "w").write(json.dumps(doc))
+    with pytest.raises(CacheMiss, match="version 1"):
+        cache_load(3, str(tmp_path))
+    clear_tables()
+    assert load_or_build(3, str(tmp_path)) == table
+    doc = json.loads(open(path).read())
+    assert doc["format_version"] == 2
+    assert sorted(doc) == ["degree", "format_version", "kostka", "partitions"]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_tampered_kostka_entry_is_a_cache_miss(tmp_path, n):
     table = build_table(n)
@@ -193,6 +212,17 @@ def test_column_commands_use_the_cache_dir(tmp_path, capsys, command):
     code = main(["--cache-dir", str(tmp_path), command, "--mu", "[1,1]", "--nu", "[1,1]"])
     assert code == 0
     assert sorted(os.listdir(tmp_path)) == ["macdonald-1.json", "macdonald-2.json"]
+
+
+def test_max_n_caps_only_its_own_command(capsys):
+    cap = degree_cap()
+    clear_tables()
+    assert main(["--max-n", "3", "catalan", "--n", "4"]) == 1
+    assert "DegreeCapError" in capsys.readouterr().err
+    assert degree_cap() == cap
+    assert main(["--max-n", "3", "catalan", "--n", "2"]) == 0
+    assert degree_cap() == cap
+    build_table(4)  # the cap of the last command no longer applies
 
 
 def test_verify_subcommand(capsys):
