@@ -37,7 +37,6 @@ from itertools import product
 from .coeffring import (
     HF_ONE,
     HookField,
-    PoleError,
     Polynomial,
     RationalFunction,
     rf,

@@ -20,6 +20,12 @@ cancel, so the dimension never enters; specialization happens after the
 pairing when the point can be singular (Z=1) and before when it is cheap
 (Z=0). The Z=0 routes read the specialized kernel from the kernel cache,
 so each degree, genus, puncture count and point is specialized once.
+
+Every test function is a tensor product of one-alphabet functions, each a
+product of basis elements under Adams operators. The evaluators describe
+it by its factors, (basis, partition, Adams index) triples per alphabet,
+and pair it with the kernel one alphabet at a time through
+symfunc.tensor_hall_scalar; the k-alphabet test function is never built.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffring import PoleError, Polynomial, rf
+from .coeffring import Polynomial, rf
 from .kernel import (
     kernel,
     log_cauchy_series,
@@ -36,8 +42,7 @@ from .kernel import (
     specialize_kernel,
 )
 from .partitions import Partition
-from .plethysm import adams
-from .symfunc import SymFunc, h_elem, hall_scalar, p_elem, s_elem
+from .symfunc import tensor_hall_scalar
 
 _Q = Polynomial.var("q")
 _T = Polynomial.var("t")
@@ -132,15 +137,12 @@ def total_dim(spec):
     return d
 
 
-def schur_test_function(spec):
+def schur_factors(spec):
     """prod_j prod_i s over the transposed Jordan types, one alphabet per
-    puncture."""
-    k = spec.points
-    out = SymFunc.one(k)
-    for j, p in enumerate(spec.punctures):
-        for jt in p.jordan:
-            out = out * s_elem(jt.conjugate(), alphabet=j, k=k)
-    return out
+    puncture, as tensor_hall_scalar factors."""
+    return tuple(
+        tuple(("schur", jt.conjugate(), 1) for jt in p.jordan) for p in spec.punctures
+    )
 
 
 def levi_block_classes(p):
@@ -211,22 +213,20 @@ class TwistSpec:
                     )
 
 
-def twisted_test_function(spec, twist):
-    """(sign exponent r, h-product with Adams-twisted alphabets)."""
+def twisted_factors(spec, twist):
+    """(sign exponent r, tensor_hall_scalar factors of the h-product with
+    Adams-twisted alphabets)."""
     twist.validate_against(spec)
-    k = spec.points
-    out = SymFunc.one(k)
+    factors = []
     r = 0
     for j, p in enumerate(spec.punctures):
+        alphabet = []
         for c, m in sorted(levi_block_classes(p).items()):
-            eta = twist.cycle_type(j, c, m)
-            for part in eta:
-                factor = h_elem(Partition((c,)), alphabet=j, k=k)
-                if part > 1:
-                    factor = adams(part, factor)
-                out = out * factor
+            for part in twist.cycle_type(j, c, m):
+                alphabet.append(("complete", Partition((c,)), part))
                 r += c * (part - 1)
-    return r, out
+        factors.append(tuple(alphabet))
+    return r, tuple(factors)
 
 
 def _as_polynomial_in(value, varname, error=NegativeCoefficient):
@@ -239,10 +239,11 @@ def _as_polynomial_in(value, varname, error=NegativeCoefficient):
     return poly
 
 
-def _v_scaled_pairing(T, spec):
-    """v^d <T, K_n(0, v)> with d = total_dim(spec); None when the pairing
-    is zero."""
-    val = hall_scalar(T, kernel(spec.rank, spec.genus, spec.points, poincare_point()))
+def _v_scaled_pairing(factors, spec):
+    """v^d <T, K_n(0, v)> with d = total_dim(spec) and T the product of the
+    factors; None when the pairing is zero."""
+    K = kernel(spec.rank, spec.genus, spec.points, poincare_point())
+    val = tensor_hall_scalar(factors, K)
     d = total_dim(spec)
     if val.is_zero():
         return None
@@ -251,7 +252,7 @@ def _v_scaled_pairing(T, spec):
 
 def poincare(spec):
     """Poincare polynomial (compactly supported intersection cohomology)."""
-    val = _v_scaled_pairing(schur_test_function(spec), spec)
+    val = _v_scaled_pairing(schur_factors(spec), spec)
     if val is None:
         return Polynomial.const(0)
     poly = _as_polynomial_in(val, "v")
@@ -264,8 +265,8 @@ def poincare(spec):
 def twisted_poincare(spec, twist):
     """Trace generating polynomial of the twist on compactly supported
     cohomology, through the kernel pairing."""
-    r, T = twisted_test_function(spec, twist)
-    val = _v_scaled_pairing(T, spec)
+    r, factors = twisted_factors(spec, twist)
+    val = _v_scaled_pairing(factors, spec)
     if val is None:
         return Polynomial.const(0)
     return _as_polynomial_in(val * (-1 if r % 2 else 1), "v")
@@ -289,22 +290,21 @@ def trace_configuration(mu, nu):
     return CometSpec(0, n, punctures)
 
 
-def _column_test_function(factors):
-    """(n, s_{mu_1}[X_1] ... s_{mu_k}[X_k] p_(n)[X_{k+1}] h_(n-1,1)[X_{k+2}])
-    for factors mu_1..mu_k of one size n."""
-    factors = [Partition(m) for m in factors]
-    if not factors:
+def column_factors(mus):
+    """(n, tensor_hall_scalar factors of
+    s_{mu_1}[X_1] ... s_{mu_k}[X_k] p_(n)[X_{k+1}] h_(n-1,1)[X_{k+2}])
+    for partitions mu_1..mu_k of one size n."""
+    mus = [Partition(m) for m in mus]
+    if not mus:
         raise ValueError("need at least one factor")
-    n = factors[0].size
-    if any(m.size != n for m in factors):
+    n = mus[0].size
+    if any(m.size != n for m in mus):
         raise ValueError("all factors must have the same size")
-    k = len(factors) + 2
-    T = s_elem(factors[0], 0, k)
-    for j, m in enumerate(factors[1:], 1):
-        T = T * s_elem(m, j, k)
-    T = T * p_elem(Partition((n,)), k - 2, k)
-    T = T * h_elem(Partition((n - 1, 1)) if n > 1 else Partition((1,)), k - 1, k)
-    return n, T
+    h = Partition((n - 1, 1)) if n > 1 else Partition((1,))
+    return n, tuple((("schur", m, 1),) for m in mus) + (
+        (("powersum", Partition((n,)), 1),),
+        (("complete", h, 1),),
+    )
 
 
 def _column_sign(n, val):
@@ -315,9 +315,9 @@ def _column_sign(n, val):
 def c_from_trace(mu, nu):
     """Column structure coefficient at q=0 via the twisted trace formula,
     as a polynomial in t."""
-    n, T = _column_test_function((mu, nu))
+    n, factors = column_factors((mu, nu))
     K = kernel(n, 0, 4, (rf(0), rf(_T), rf(0)))
-    val = _column_sign(n, hall_scalar(T, K))
+    val = _column_sign(n, tensor_hall_scalar(factors, K))
     return _as_polynomial_in(val, "t", error=ValueError) if not val.is_zero() else Polynomial.const(0)
 
 
@@ -326,17 +326,17 @@ def c_from_log(factors):
 
     Exact: must agree with the Kostka-matrix computation.
     """
-    n, T = _column_test_function(factors)
-    comp = log_cauchy_series(0, T.k, n).component(n)
-    val = hall_scalar(T, comp)
+    n, alphabets = column_factors(factors)
+    comp = log_cauchy_series(0, len(alphabets), n).component(n)
+    val = tensor_hall_scalar(alphabets, comp)
     val = val.rename({"Z": "q", "W": "t"})
     return _column_sign(n, val * rf((_Q - 1) * (1 - _T)))
 
 
 def mixed_hodge_rhs(mu, nu):
     """Conjectural column coefficient via the mixed-Hodge specialization."""
-    n, T = _column_test_function((mu, nu))
-    val = hall_scalar(T, kernel(n, 0, 4))
+    n, factors = column_factors((mu, nu))
+    val = tensor_hall_scalar(factors, kernel(n, 0, 4))
     return _column_sign(n, specialize_kernel(val, *mixed_hodge_point()))
 
 
@@ -347,6 +347,6 @@ def q1_rhs(mu, nu):
     a PoleError propagates to the caller. The alternating sign matches
     the additive twisted-trace convention (the n=2 case fixes it).
     """
-    n, T = _column_test_function((mu, nu))
-    val = hall_scalar(T, kernel(n, 0, 4))
+    n, factors = column_factors((mu, nu))
+    val = tensor_hall_scalar(factors, kernel(n, 0, 4))
     return _column_sign(n, val.specialize({"Z": rf(1), "W": rf(_T)}))

@@ -459,6 +459,64 @@ def hall_scalar(F, G):
 
 
 @lru_cache(maxsize=None)
+def alphabet_weights(factor):
+    """Integer Hall weights of one alphabet's factor of a tensor product.
+
+    factor is a tuple of (basis, partition, Adams index) triples and
+    stands for f = prod psi_a(b_mu) in one alphabet. Returns the dict
+    kappa -> <p_kappa, f> = z_kappa [p_kappa] f. Each <p_kappa, b_mu> is an
+    integer (p_kappa has integer coordinates in every basis of BASES),
+    psi_a multiplies a weight by a^len(kappa), and z_kappa / (z_alpha z_beta)
+    is a product of binomials, so every weight is an integer; one that is
+    not raises ValueError.
+    """
+    prod = {Partition(): Fraction(1)}
+    for basis, mu, a in factor:
+        psi = {
+            Partition(tuple(x * a for x in kappa)): c
+            for kappa, c in basis_to_p(basis, mu).items()
+        }
+        prod = _convolve(prod, psi)
+    weights = {}
+    for kappa, c in prod.items():
+        w = c * kappa.z()
+        if w.denominator != 1:
+            raise ValueError("weight %s of %s at %s is not an integer" % (w, factor, kappa))
+        weights[kappa] = w.numerator
+    return weights
+
+
+def tensor_hall_scalar(factors, G):
+    """<prod_j f_j[X_j], G> without building the product.
+
+    factors holds one alphabet_weights factor per alphabet of G. Each key
+    of G weighs the product of its one-alphabet integer weights; the
+    weights are summed per distinct coefficient of G (equal coefficients
+    merge), so there is one scale-and-add per distinct coefficient.
+    hall_scalar of the multiplied-out product is the reference.
+    """
+    if len(factors) != G.k:
+        raise ValueError("alphabet count mismatch")
+    maps = [alphabet_weights(factor) for factor in factors]
+    acc = {}
+    for key, c in G.terms.items():
+        w = 1
+        for weights, kappa in zip(maps, key):
+            w *= weights.get(kappa, 0)
+            if not w:
+                break
+        else:
+            acc[c] = acc.get(c, 0) + w
+    total = None
+    for c, w in acc.items():
+        if w:
+            total = c * w if total is None else total + c * w
+    if total is None:
+        return rf(0)
+    return total
+
+
+@lru_cache(maxsize=None)
 def _scale_factor(kappa, varname):
     """prod_i (x^{kappa_i} - 1), the factor of p_kappa under X -> (x-1)X."""
     x = Polynomial.var(varname)

@@ -35,9 +35,8 @@ from .symfunc import (
     e_elem,
     expand1,
     h_elem,
-    hall_scalar,
-    m_elem,
     s_elem,
+    tensor_hall_scalar,
 )
 
 _Q = Polynomial.var("q")
@@ -330,10 +329,7 @@ def check_kernel_sanity(max_n=3):
                     continue
                 bad = []
                 for mus in product(partitions_of(n), repeat=points):
-                    T = SymFunc.one(points)
-                    for j, mu in enumerate(mus):
-                        T = T * m_elem(mu, alphabet=j, k=points)
-                    val = hall_scalar(T, K)
+                    val = tensor_hall_scalar(tuple((("monomial", mu, 1),) for mu in mus), K)
                     if not val.is_polynomial():
                         bad.append(mus)
                 out.append(

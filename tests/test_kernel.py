@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import product
 
 import pytest

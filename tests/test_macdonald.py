@@ -19,7 +19,7 @@ from qtsym.macdonald import (
     phi_weight,
     qt_norm_pairing,
 )
-from qtsym.symfunc import expand1, mn_character, qt_factor, qt_pairing_scalar, s_elem
+from qtsym.symfunc import expand1, mn_character, qt_factor
 
 q = Polynomial.var("q")
 t = Polynomial.var("t")

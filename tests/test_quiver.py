@@ -1,10 +1,14 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from qtsym.coeffring import Polynomial, rf
+from qtsym.kernel import kernel, log_cauchy_series, poincare_point
 from qtsym.kostka_algebra import structure_coefficient
+from qtsym.macdonald import clear_tables
 from qtsym.partitions import Partition, partitions_of
+from qtsym.plethysm import adams
 from qtsym.quiver import (
     CometSpec,
     OddDimension,
@@ -12,15 +16,19 @@ from qtsym.quiver import (
     TwistSpec,
     c_from_log,
     c_from_trace,
+    column_factors,
     levi_block_classes,
     mixed_hodge_rhs,
     orbit_dim,
     poincare,
     q1_rhs,
+    schur_factors,
     total_dim,
     trace_configuration,
+    twisted_factors,
     twisted_poincare,
 )
+from qtsym.symfunc import SymFunc, alphabet_weights, basis_element, hall_scalar, tensor_hall_scalar
 
 q = Polynomial.var("q")
 t = Polynomial.var("t")
@@ -246,3 +254,98 @@ def test_three_paths_against_structure_coefficients_n2():
             q1_val = q1_rhs(mu, nu)
             assert q1_val == c.specialize({"q": rf(1)})
             assert mixed_hodge_rhs(mu, nu) == c
+
+
+# -- the one-alphabet pairing against the multiplied-out test functions ------
+
+
+def _multiplied_out(factors):
+    """The k-alphabet product of tensor_hall_scalar factors, built with
+    SymFunc products: the reference for the one-alphabet pairing."""
+    k = len(factors)
+    T = SymFunc.one(k)
+    for j, factor in enumerate(factors):
+        for basis, mu, a in factor:
+            T = T * adams(a, basis_element(basis, mu, alphabet=j, k=k))
+    return T
+
+
+def _puncture_specs(n):
+    """One PunctureSpec per orbit type of rank n."""
+    out = []
+    for mults in partitions_of(n):
+        seen = set()
+        for jordan in product(*(partitions_of(m) for m in mults)):
+            key = tuple(sorted(zip(mults, jordan)))
+            if key not in seen:
+                seen.add(key)
+                out.append(PunctureSpec(mults, jordan))
+    return out
+
+
+def _even_specs(n, genus, points):
+    out = []
+    for combo in combinations_with_replacement(_puncture_specs(n), points):
+        spec = CometSpec(genus, n, combo)
+        try:
+            total_dim(spec)
+        except OddDimension:
+            continue
+        out.append(spec)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("genus, points", [(0, 4), (1, 2)])
+def test_tensor_pairing_matches_multiplied_out_poincare_functions(n, genus, points):
+    K = kernel(n, genus, points, poincare_point())
+    rs = PunctureSpec.regular_semisimple(n)
+    specs = _even_specs(n, genus, points)
+    assert specs
+    twisted = 0
+    for spec in specs:
+        factors = schur_factors(spec)
+        assert tensor_hall_scalar(factors, K) == hall_scalar(_multiplied_out(factors), K)
+        if rs not in spec.punctures:
+            continue
+        j = spec.punctures.index(rs)
+        for eta in partitions_of(n):
+            r, factors = twisted_factors(spec, TwistSpec({j: {1: eta}}))
+            assert r == n - len(eta)
+            assert tensor_hall_scalar(factors, K) == hall_scalar(_multiplied_out(factors), K)
+            twisted += 1
+    assert twisted
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tensor_pairing_matches_multiplied_out_column_functions(n):
+    kernels = (
+        kernel(n, 0, 4),
+        kernel(n, 0, 4, (rf(0), rf(t), rf(0))),
+        log_cauchy_series(0, 4, n).component(n),
+    )
+    for mu, nu in product(partitions_of(n), repeat=2):
+        m, factors = column_factors((mu, nu))
+        assert m == n
+        T = _multiplied_out(factors)
+        for K in kernels:
+            assert tensor_hall_scalar(factors, K) == hall_scalar(T, K)
+
+
+def test_evaluators_agree_across_repeats_and_cleared_tables():
+    spec = CometSpec(0, 2, (PunctureSpec.regular_semisimple(2),) * 4)
+    twist = TwistSpec({0: {1: P(2)}})
+    calls = (
+        lambda: poincare(spec),
+        lambda: twisted_poincare(spec, twist),
+        lambda: c_from_trace(P(1, 1), P(2)),
+        lambda: c_from_log([P(1, 1), P(1, 1)]),
+        lambda: mixed_hodge_rhs(P(1, 1), P(1, 1)),
+        lambda: q1_rhs(P(2), P(1, 1)),
+    )
+    first = [call() for call in calls]
+    hits = alphabet_weights.cache_info().hits
+    assert [call() for call in calls] == first
+    assert alphabet_weights.cache_info().hits > hits
+    clear_tables()
+    assert [call() for call in calls] == first

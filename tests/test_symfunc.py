@@ -5,22 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtsym.coeffring import Polynomial, rf
+from qtsym.coeffring import HookField, Polynomial, rf
 from qtsym.partitions import Partition, partitions_of
+from qtsym.plethysm import adams
 from qtsym.symfunc import (
     SymFunc,
     _merge_parts,
+    alphabet_weights,
     basis_element,
     e_elem,
     expand1,
     h_elem,
     hall_scalar,
-    m_elem,
     mn_character,
     p_elem,
     pair_alphabet,
     qt_pairing_scalar,
     s_elem,
+    tensor_hall_scalar,
 )
 
 q = rf(Polynomial.var("q"))
@@ -212,3 +214,52 @@ def test_merged_parts_equal_the_validated_partition(a, b):
     want = Partition(sorted(a + b, reverse=True))
     assert type(got) is Partition
     assert got == want and hash(got) == hash(want)
+
+
+_ALPHABET_FACTORS = (
+    (),
+    (("monomial", Partition((2, 1)), 1),),
+    (("elementary", Partition((1, 1)), 1), ("schur", Partition((1,)), 2)),
+    (("complete", Partition((2,)), 2),),
+    (("monomial", Partition((1, 1)), 1), ("powersum", Partition((1,)), 1)),
+    (("schur", Partition((2, 1)), 1), ("complete", Partition((1,)), 1)),
+)
+
+
+def _two_alphabet_kernel(coeffs):
+    """A dense two-alphabet function up to degree 4 in each alphabet whose
+    coefficients repeat: equal values, distinct objects."""
+    keys = [kappa for d in range(5) for kappa in partitions_of(d)]
+    terms = {}
+    for a, b in product(keys, repeat=2):
+        terms[(a, b)] = coeffs[(len(a) + 2 * sum(b)) % len(coeffs)]()
+    return SymFunc(2, terms)
+
+
+@pytest.mark.parametrize("field", ["rational", "hook"])
+def test_tensor_hall_scalar_matches_the_multiplied_out_product(field):
+    q_ = Polynomial.var("q")
+    t_ = Polynomial.var("t")
+    coeffs = [lambda: rf(q_ + t_), lambda: rf(1) / rf(1 - q_ * t_), lambda: rf(Fraction(-3, 2))]
+    if field == "hook":
+        coeffs.append(lambda: HookField(rf(q_), rf(t_)))
+    G = _two_alphabet_kernel(coeffs)
+    for f0, f1 in product(_ALPHABET_FACTORS, repeat=2):
+        T = SymFunc.one(2)
+        for j, factor in enumerate((f0, f1)):
+            for basis, mu, a in factor:
+                T = T * adams(a, basis_element(basis, mu, alphabet=j, k=2))
+        assert tensor_hall_scalar((f0, f1), G) == hall_scalar(T, G)
+
+
+def test_alphabet_weights_are_integer_hall_pairings():
+    chi = {kappa: mn_character((2, 1), kappa) for kappa in partitions_of(3)}
+    assert alphabet_weights((("schur", Partition((2, 1)), 1),)) == {k: c for k, c in chi.items() if c}
+    assert alphabet_weights((("complete", Partition((1,)), 3),)) == {Partition((3,)): 3}
+    for basis in ("monomial", "elementary", "complete", "powersum", "schur"):
+        for mu in partitions_of(4):
+            weights = alphabet_weights(((basis, mu, 1), (basis, Partition((1,)), 2)))
+            assert weights and all(type(w) is int for w in weights.values())
+    assert alphabet_weights.cache_info().currsize >= 20
+    with pytest.raises(ValueError):
+        tensor_hall_scalar(((), ()), SymFunc.one(3))
