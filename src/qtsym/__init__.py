@@ -93,7 +93,6 @@ from .symfunc import (
     mn_character,
     p_elem,
     pair_alphabet,
-    qt_pairing,
     qt_pairing_scalar,
     s_elem,
     set_degree_cap,

@@ -1247,7 +1247,7 @@ class RationalFunction:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            self._hash = hash((self.scalar, self.prim, self.den))
         return self._hash
 
     def rename(self, mapping):

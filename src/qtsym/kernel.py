@@ -111,14 +111,12 @@ def _cauchy_component(genus, points, d):
         for rep, c in _tensor_power(_htilde_zw(d)[lam], points, weight).items():
             prev = reps.get(rep)
             reps[rep] = c if prev is None else prev + c
-    F = SymFunc.__new__(SymFunc)
-    F.k = points
-    F.terms = {}
+    terms = {}
     for key in product(sorted(partitions_of(d)), repeat=points):
         c = reps.get(tuple(sorted(key)))
         if c is not None and not c.is_zero():
-            F.terms[key] = c
-    return F
+            terms[key] = c
+    return SymFunc._raw(points, terms)
 
 
 @derived
@@ -172,10 +170,6 @@ def specialize_kernel(F, z_value, w_value, eps_value):
 
     def spec(c):
         if isinstance(c, HookField):
-            if c.odd.is_zero():
-                return c.base.specialize(assign)
-            if ev is None:
-                raise ValueError("kernel has eps parts; this point needs an eps value")
             return c.specialize(assign, eps_value=ev)
         return c.specialize(assign)
 

@@ -1,9 +1,9 @@
 """Exact linear algebra: matrix inversion and polynomial system solves.
 
-invert_matrix (Gauss-Jordan over any exact field) serves symfunc's
-monomial-to-power-sum transition. solve_bareiss, exported by the package,
-is fraction-free (Bareiss) elimination over polynomial matrices with
-minimal-degree pivots, which keeps entries polynomial and limits swell.
+invert_matrix (Gauss-Jordan over Q) serves symfunc's monomial-to-power-sum
+transition. solve_bareiss, exported by the package, is fraction-free
+(Bareiss) elimination over polynomial matrices with minimal-degree
+pivots, which keeps entries polynomial and limits swell.
 Overdetermined systems are allowed; the caller re-verifies the solution.
 """
 
@@ -107,42 +107,22 @@ def _as_poly(x):
 
 
 def invert_matrix(rows):
-    """Inverse of a square matrix over any exact field (RationalFunction,
-    Fraction). Gauss-Jordan; raises SingularSystem when singular."""
+    """Inverse of a square matrix of ints and Fractions, as Fractions.
+    Gauss-Jordan; raises SingularSystem when singular."""
     n = len(rows)
-    aug = [list(row) + [_field_const(rows, 1 if i == j else 0) for j in range(n)] for i, row in enumerate(rows)]
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
     for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if _nonzero(aug[i][col]):
-                pivot = i
-                break
+        pivot = next((i for i in range(col, n) if aug[i][col]), None)
         if pivot is None:
             raise SingularSystem("singular matrix")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = _field_inv(aug[col][col])
+        inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
         for i in range(n):
-            if i != col and _nonzero(aug[i][col]):
-                factor = aug[i][col]
+            factor = aug[i][col]
+            if i != col and factor:
                 aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
-
-
-def _field_const(rows, value):
-    sample = rows[0][0]
-    if isinstance(sample, RationalFunction):
-        return RationalFunction.const(value)
-    return Fraction(value)
-
-
-def _nonzero(x):
-    if isinstance(x, RationalFunction):
-        return not x.is_zero()
-    return x != 0
-
-
-def _field_inv(x):
-    if isinstance(x, RationalFunction):
-        return x.inverse()
-    return 1 / x

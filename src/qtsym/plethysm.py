@@ -8,6 +8,10 @@ products of alphabets via scaled atoms.
 
 Degree-truncated series carry the grading variable implicitly: component
 d of a Series is the coefficient of s^d.
+
+Results are built with symfunc's SymFunc._raw and summed with its
+_accumulate rule; the Adams operator raises a coefficient through its
+own raise_exponents(n), whether a RationalFunction or a HookField.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from functools import lru_cache
 
 from .coeffring import HookField, Polynomial, RationalFunction, rf
 from .partitions import Partition
-from .symfunc import SymFunc, _cf, _is_zero_coeff
+from .symfunc import SymFunc, _accumulate
 
 
 class AlphabetExpr:
@@ -39,24 +43,11 @@ class AlphabetExpr:
     def __add__(self, other):
         return AlphabetExpr(self.atoms + other.atoms)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = rf(c)
-        return AlphabetExpr(tuple((coef * c, j) for coef, j in self.atoms))
-
     def __repr__(self):
         bits = []
         for c, j in self.atoms:
             bits.append("(%s)%s" % (c, "*X%d" % (j + 1) if j is not None else ""))
         return " + ".join(bits) or "0"
-
-
-def _raise_coeff(c, n):
-    if isinstance(c, HookField):
-        return c.raise_exponents(n)
-    return _cf(c).raise_exponents(n)
 
 
 def adams(n, obj):
@@ -75,39 +66,29 @@ def adams(n, obj):
     F = obj
     if n == 1:
         return F
+    # p_n is an injective ring map, so keys stay distinct and coefficients nonzero
     terms = {}
     for key, c in F.terms.items():
         new_key = tuple(Partition(tuple(part * n for part in p)) for p in key)
-        terms[new_key] = _raise_coeff(c, n)
-    res = SymFunc.__new__(SymFunc)
-    res.k = F.k
-    res.terms = terms
-    return res
+        terms[new_key] = c.raise_exponents(n)
+    return SymFunc._raw(F.k, terms)
 
 
 def _pn_of_expr(n, expr, k):
     """p_n evaluated on an alphabet expression, as a SymFunc with k alphabets."""
     empty_key = (Partition(),) * k
-    out = SymFunc.zero(k)
     terms = {}
     for coef, j in expr.atoms:
-        c = coef.raise_exponents(n)
+        if coef.is_zero():
+            continue
         if j is None:
             key = empty_key
         else:
             key = list(empty_key)
             key[j] = Partition((n,))
             key = tuple(key)
-        if key in terms:
-            s = terms[key] + c
-            if _is_zero_coeff(s):
-                del terms[key]
-            else:
-                terms[key] = s
-        elif not _is_zero_coeff(c):
-            terms[key] = c
-    out.terms = terms
-    return out
+        _accumulate(terms, key, coef.raise_exponents(n))
+    return SymFunc._raw(k, terms)
 
 
 def substitute(F, alphabet, expr):
@@ -235,27 +216,15 @@ class Series:
         return self.comps[d] if 0 <= d <= self.cap else SymFunc.zero(self.k)
 
     def __add__(self, other):
-        if isinstance(other, Series):
-            if other.k != self.k:
-                raise ValueError("alphabet count mismatch")
-            cap = min(self.cap, other.cap)
-            out = Series(cap, self.k)
-            for d in range(cap + 1):
-                out.comps[d] = self.comps[d] + other.comps[d]
-            return out
-        out = Series(self.cap, self.k, list(self.comps))
-        out.comps[0] = out.comps[0] + SymFunc.one(self.k) * _cf(other)
+        if not isinstance(other, Series):
+            return NotImplemented
+        if other.k != self.k:
+            raise ValueError("alphabet count mismatch")
+        cap = min(self.cap, other.cap)
+        out = Series(cap, self.k)
+        for d in range(cap + 1):
+            out.comps[d] = self.comps[d] + other.comps[d]
         return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = Series(self.cap, self.k)
-        out.comps = [-c for c in self.comps]
-        return out
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Series) else -_as_series_const(other, self))
 
     def __mul__(self, other):
         if isinstance(other, Series):
@@ -290,12 +259,6 @@ class Series:
     def __repr__(self):
         bits = ["s^%d: %s" % (d, c) for d, c in enumerate(self.comps) if not c.is_zero()]
         return "Series(cap=%d; %s)" % (self.cap, "; ".join(bits) or "0")
-
-
-def _as_series_const(value, like):
-    s = Series(like.cap, like.k)
-    s.comps[0] = SymFunc.one(like.k) * _cf(value)
-    return s
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,14 @@ becomes a ring-morphism extension. The other classical bases (monomial,
 elementary, complete, Schur) are views obtained through exact conversion.
 
 A SymFunc with k alphabets maps keys, which are k-tuples of partitions
-(one power-sum index per alphabet), to coefficients. Coefficients are
-RationalFunction or HookField values; ints and Fractions are coerced.
+(one power-sum index per alphabet), to nonzero coefficients.
+Coefficients are RationalFunction or HookField values, and a SymFunc
+uses only what both provide: arithmetic, ==, is_zero() and
+raise_exponents(n). SymFunc.__init__ is the validating way in for
+outside input (ints, Fractions and Polynomials are coerced, keys
+checked); inside the package every other SymFunc is built through
+SymFunc._raw, and every sum of terms goes through _accumulate, which
+drops a key whose sum is zero.
 """
 
 from __future__ import annotations
@@ -203,8 +209,16 @@ def _cf(value):
     raise TypeError("bad coefficient %r" % (value,))
 
 
-def _is_zero_coeff(c):
-    return c.is_zero()
+def _accumulate(out, key, c):
+    """Add the nonzero c to out[key]; a zero sum drops the key. A product
+    of stored coefficients is never zero: Q(Z,W) and Q(Z,W)[eps]/(eps^2 - ZW)
+    are both fields, the second because ZW is not a square in Q(Z,W)."""
+    if key in out:
+        c = out[key] + c
+        if c.is_zero():
+            del out[key]
+            return
+    out[key] = c
 
 
 class SymFunc:
@@ -214,30 +228,32 @@ class SymFunc:
 
     def __init__(self, k, terms=None):
         self.k = k
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                c = _cf(c)
-                if _is_zero_coeff(c):
-                    continue
-                key = tuple(Partition(p) for p in key)
-                if len(key) != k:
-                    raise ValueError("key arity %d != %d alphabets" % (len(key), k))
-                if key in clean:
-                    c = clean[key] + c
-                    if _is_zero_coeff(c):
-                        del clean[key]
-                        continue
-                clean[key] = c
-        self.terms = clean
+        self.terms = {}
+        for key, c in (terms or {}).items():
+            c = _cf(c)
+            if c.is_zero():
+                continue
+            key = tuple(Partition(p) for p in key)
+            if len(key) != k:
+                raise ValueError("key arity %d != %d alphabets" % (len(key), k))
+            _accumulate(self.terms, key, c)
+
+    @staticmethod
+    def _raw(k, terms):
+        """A SymFunc owning terms, whose keys are k-tuples of Partition
+        and whose coefficients are nonzero, as _accumulate leaves them."""
+        res = SymFunc.__new__(SymFunc)
+        res.k = k
+        res.terms = terms
+        return res
 
     @staticmethod
     def zero(k=1):
-        return SymFunc(k)
+        return SymFunc._raw(k, {})
 
     @staticmethod
     def one(k=1):
-        return SymFunc(k, {(Partition(),) * k: Fraction(1)})
+        return SymFunc._raw(k, {(Partition(),) * k: rf(1)})
 
     @staticmethod
     def from_p_dict(d, alphabet=0, k=1):
@@ -263,11 +279,7 @@ class SymFunc:
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
             return NotImplemented
-        if self.k != other.k:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(_eq_coeff(c, other.terms[k]) for k, c in self.terms.items())
+        return self.k == other.k and self.terms == other.terms
 
     def __add__(self, other):
         if not isinstance(other, SymFunc):
@@ -276,24 +288,11 @@ class SymFunc:
             raise ValueError("alphabet count mismatch")
         out = dict(self.terms)
         for key, c in other.terms.items():
-            if key in out:
-                s = out[key] + c
-                if _is_zero_coeff(s):
-                    del out[key]
-                else:
-                    out[key] = s
-            else:
-                out[key] = c
-        res = SymFunc.__new__(SymFunc)
-        res.k = self.k
-        res.terms = out
-        return res
+            _accumulate(out, key, c)
+        return SymFunc._raw(self.k, out)
 
     def __neg__(self):
-        res = SymFunc.__new__(SymFunc)
-        res.k = self.k
-        res.terms = {key: -c for key, c in self.terms.items()}
-        return res
+        return SymFunc._raw(self.k, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -306,54 +305,29 @@ class SymFunc:
             for ka, ca in self.terms.items():
                 for kb, cb in other.terms.items():
                     key = tuple(_merge_parts(a, b) for a, b in zip(ka, kb))
-                    c = ca * cb
-                    if key in out:
-                        s = out[key] + c
-                        if _is_zero_coeff(s):
-                            del out[key]
-                        else:
-                            out[key] = s
-                    elif not _is_zero_coeff(c):
-                        out[key] = c
-            res = SymFunc.__new__(SymFunc)
-            res.k = self.k
-            res.terms = out
-            return res
+                    _accumulate(out, key, ca * cb)
+            return SymFunc._raw(self.k, out)
         c = _cf(other)
-        if _is_zero_coeff(c):
+        if c.is_zero():
             return SymFunc.zero(self.k)
-        res = SymFunc.__new__(SymFunc)
-        res.k = self.k
-        res.terms = {key: v * c for key, v in self.terms.items()}
-        return res
+        return SymFunc._raw(self.k, {key: v * c for key, v in self.terms.items()})
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def scale(self, c):
-        return self.__mul__(c)
+    __rmul__ = __mul__
 
     def map_coefficients(self, func):
         out = {}
         for key, c in self.terms.items():
-            v = func(c)
-            if not _is_zero_coeff(_cf(v)):
-                out[key] = _cf(v)
-        res = SymFunc.__new__(SymFunc)
-        res.k = self.k
-        res.terms = out
-        return res
+            v = _cf(func(c))
+            if not v.is_zero():
+                out[key] = v
+        return SymFunc._raw(self.k, out)
 
     def tensor(self, other):
         """Juxtapose alphabets: result has self.k + other.k alphabets."""
-        out = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                out[ka + kb] = ca * cb
-        res = SymFunc.__new__(SymFunc)
-        res.k = self.k + other.k
-        res.terms = {k: c for k, c in out.items() if not _is_zero_coeff(c)}
-        return res
+        return SymFunc._raw(
+            self.k + other.k,
+            {ka + kb: ca * cb for ka, ca in self.terms.items() for kb, cb in other.terms.items()},
+        )
 
     def __str__(self):
         if not self.terms:
@@ -369,13 +343,6 @@ class SymFunc:
 
     def __repr__(self):
         return "SymFunc(k=%d, %s)" % (self.k, self)
-
-
-def _eq_coeff(a, b):
-    if isinstance(a, HookField) or isinstance(b, HookField):
-        a = a if isinstance(a, HookField) else HookField(a)
-        b = b if isinstance(b, HookField) else HookField(b)
-    return a == b
 
 
 def basis_element(basis, mu, alphabet=0, k=1):
@@ -416,7 +383,6 @@ def pair_alphabet(F, G, alphabet):
     index = {}
     for key, c in G.terms.items():
         index.setdefault(key[j], []).append((key, c))
-    out = SymFunc.zero(F.k)
     acc = {}
     for ka, ca in F.terms.items():
         lam = ka[j]
@@ -426,17 +392,8 @@ def pair_alphabet(F, G, alphabet):
                 empty if i == j else _merge_parts(a, b)
                 for i, (a, b) in enumerate(zip(ka, kb))
             )
-            c = ca * cb * z
-            if key in acc:
-                s = acc[key] + c
-                if _is_zero_coeff(s):
-                    del acc[key]
-                else:
-                    acc[key] = s
-            elif not _is_zero_coeff(c):
-                acc[key] = c
-    out.terms = acc
-    return out
+            _accumulate(acc, key, ca * cb * z)
+    return SymFunc._raw(F.k, acc)
 
 
 def hall_scalar(F, G):
@@ -535,18 +492,9 @@ def qt_factor(kappa):
 
 def qt_scale(F, alphabet=0):
     """The substitution X -> (q-1)(1-t)X on one alphabet."""
-    out = {}
-    for key, c in F.terms.items():
-        out[key] = c * rf(qt_factor(key[alphabet]))
-    res = SymFunc.__new__(SymFunc)
-    res.k = F.k
-    res.terms = {k: c for k, c in out.items() if not _is_zero_coeff(c)}
-    return res
-
-
-def qt_pairing(F, G, alphabet=0):
-    """(F, G)^{q,t} = <F[X], G[(q-1)(1-t)X]> on one alphabet."""
-    return pair_alphabet(F, qt_scale(G, alphabet), alphabet)
+    return SymFunc._raw(
+        F.k, {key: c * rf(qt_factor(key[alphabet])) for key, c in F.terms.items()}
+    )
 
 
 def qt_pairing_scalar(F, G):
@@ -613,11 +561,11 @@ def format_basis_expansion(expansion, basis):
     tag = _BASIS_TAGS[basis]
     bits = []
     for mu in sorted(expansion, reverse=True):
-        c = expansion[mu]
-        if _is_zero_coeff(_cf(c)):
+        c = _cf(expansion[mu])
+        if c.is_zero():
             continue
         body = "%s%s" % (tag, Partition(mu))
-        if _cf(c) == rf(1):
+        if c == rf(1):
             bits.append(body)
         else:
             bits.append("(%s)*%s" % (c, body))

@@ -37,9 +37,11 @@ def test_catalan_command(capsys):
 def test_json_round_trip(capsys):
     code = main(["--json", "ccoef", "--factors", "[1,1];[1,1]", "--target", "[1,1]"])
     out = capsys.readouterr().out
+    assert code == 0
     doc = json.loads(out)
     assert Polynomial.parse(doc["value"]) == Polynomial.parse("q + t")
     code = main(["--json", "kostka", "--n", "2"])
+    assert code == 0
     doc = json.loads(capsys.readouterr().out)
     for row in doc["entries"]:
         for entry in row:

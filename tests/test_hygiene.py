@@ -1,10 +1,14 @@
-"""Source hygiene: no module under src/qtsym or tests imports a name it
-never uses. Package re-exports in __init__.py are exempt."""
+"""Source hygiene, by stdlib ast scans of src/qtsym and tests (package
+re-exports in __init__.py are exempt): no module imports a name it never
+uses, no function assigns a name it never reads, and every name the
+package exports is used somewhere in src/qtsym, tests or demos."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import qtsym
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
@@ -12,6 +16,7 @@ SOURCES = sorted(
     for p in list((ROOT / "src" / "qtsym").glob("*.py")) + list((ROOT / "tests").glob("*.py"))
     if p.name != "__init__.py"
 )
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source):
@@ -46,3 +51,82 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.parent.name + "/" + p.name for p in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(source):
+    """Names source reads (as a name, an attribute, an imported name or a
+    part of an imported module path), leaving out what a definition's own
+    body says of its name."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        names = ()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names = (node.id,)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names = (node.attr,)
+        elif isinstance(node, ast.alias):
+            names = tuple(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = tuple(node.module.split("."))
+        found.update(name for name in names if name not in inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def unreferenced(names, sources):
+    """The names that no source references."""
+    found = set()
+    for source in sources:
+        found |= referenced_names(source)
+    return sorted(set(names) - found)
+
+
+def unread_assignments(source):
+    """(line, name) for each name a function binds by plain assignment and
+    never reads; names declared global or nonlocal there, and _, are not
+    counted."""
+    out = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        assigned, read, declared = {}, set(), {"_"}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        assigned.setdefault(target.id, node.lineno)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        out.update((line, name) for name, line in assigned.items() if name not in read | declared)
+    return sorted(out)
+
+
+def test_scan_flags_an_unreferenced_export():
+    sources = ["def f(n):\n    return f(n - 1)\n", "from mod import g\nprint(g, x.k)\n"]
+    assert unreferenced({"f", "g", "h", "k", "mod"}, sources) == ["f", "h"]
+
+
+def test_exports_are_referenced():
+    sources = [p.read_text() for p in SOURCES + DEMOS]
+    assert unreferenced(qtsym.__all__, sources) == []
+
+
+def test_scan_flags_an_unread_assignment():
+    source = (
+        "def f():\n    x = 1\n    y = 2\n    return y\n"
+        "def g():\n    global z\n    z = 3\n    w = 4\n    def h():\n        return w\n    return h\n"
+    )
+    assert unread_assignments(source) == [(2, "x")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.parent.name + "/" + p.name for p in SOURCES])
+def test_no_unread_assignments(path):
+    assert unread_assignments(path.read_text()) == []

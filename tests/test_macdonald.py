@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qtsym.coeffring import P_ZERO, Polynomial, RationalFunction, poly_gcd, rf
-from qtsym.linalg import SingularSystem, solve_bareiss
+from qtsym.linalg import SingularSystem, invert_matrix, solve_bareiss
 from qtsym.partitions import Partition, dominance_leq, partitions_of
 from qtsym.plethysm import AlphabetExpr, substitute
 from qtsym.macdonald import (
@@ -39,6 +39,16 @@ def test_solve_bareiss_small():
     assert x + y * rf(t) == rf(0)
     with pytest.raises(SingularSystem):
         solve_bareiss([[q, q], [q, q]], [Polynomial.const(1), Polynomial.const(0)])
+
+
+def test_invert_matrix_over_fractions():
+    # a row swap is needed: the first pivot column starts with a zero
+    rows = [[0, 2], [Fraction(1, 2), 1]]
+    inv = invert_matrix(rows)
+    assert inv == [[-1, 2], [Fraction(1, 2), 0]]
+    assert all(isinstance(x, Fraction) for row in inv for x in row)
+    with pytest.raises(SingularSystem):
+        invert_matrix([[1, 2], [Fraction(1, 2), 1]])
 
 
 def test_degree_one_and_two_tables():

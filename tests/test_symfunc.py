@@ -169,9 +169,20 @@ def test_multiply_and_tensor():
     h1y = h_elem(Partition((1,)), alphabet=0, k=1)
     T = h1x.tensor(h1y)
     P = p_elem(Partition((1,)), 0, 2) * p_elem(Partition((1,)), 1, 2)
-    val = pair_alphabet(pair_alphabet(T, P, 0), P * SymFunc.one(2), 1)
-    # simpler: pair both alphabets fully
+    # pairing X1 consumes it and multiplies X2 through
+    assert pair_alphabet(T, P, 0) == p_elem(Partition((1, 1)), 1, 2)
     assert hall_scalar(T, P) == rf(1)
+
+
+def test_zero_sums_drop_their_key_and_equality_crosses_coefficient_types():
+    p1, p2 = p_elem(Partition((1,))), p_elem(Partition((2,)))
+    # the cross terms of (p1 + p2)(p1 - p2) cancel and leave no zero entry
+    assert set(((p1 + p2) * (p1 - p2)).terms) == {(Partition((1, 1)),), (Partition((2, 2)),)}
+    assert (SymFunc(1, {((1,),): q, ((2,),): 1}) + SymFunc(1, {((1,),): -q})).terms == p2.terms
+    hook = SymFunc(1, {((1,),): HookField(rf(2))})
+    plain = SymFunc(1, {((1,),): 2})
+    assert hook == plain and plain == hook
+    assert hook != SymFunc(1, {((1,),): HookField(rf(2), rf(1))})
 
 
 def test_convert_multivariate():
