@@ -1547,6 +1547,57 @@ def reduce_by_factors(num, factors, unit=1):
     return _make(_quo(c, unit), num, den)
 
 
+def factored_sum(terms):
+    """The sum of the fractions scalar * prim / prod f^m over the
+    (scalar, prim, mult) triples, mult a dict f -> m > 0, as a reduced
+    RationalFunction.
+
+    Each prim is a primitive integer polynomial with positive leading
+    coefficient, coprime to every f of its mult, and the f are distinct
+    irreducible polynomials of that form; a zero scalar is a zero term.
+    Terms are added by Henrici's rule on the multiplicities: g is the
+    per-factor minimum, the cofactors d1/g and d2/g are products of known
+    factors, and only the factors of g, at most their multiplicity in g,
+    are divided out of the new numerator (divide_out). No gcd is taken,
+    and the denominator is multiplied out once, at the end.
+    """
+    s, num, den = 0, P_ZERO, {}
+    for s2, num2, den2 in terms:
+        if not s2:
+            continue
+        if not s:
+            s, num, den = _normc(s2), num2, den2
+            continue
+        g = {f: min(m, den2[f]) for f, m in den.items() if f in den2}
+        s, k1, k2 = _join_scalars(s, s2)
+        num = (num * _factor_product(den2, g)).scale(k1) + (num2 * _factor_product(den, g)).scale(k2)
+        if num.is_zero():
+            s, num, den = 0, P_ZERO, {}
+            continue
+        c, num = _split_content(num)
+        s = _normc(s * c)
+        lcm = dict(den)
+        for f, m in den2.items():
+            lcm[f] = max(m, lcm.get(f, 0))
+        for f, m in g.items():
+            num, k = divide_out(num, f, m)
+            lcm[f] -= k
+        den = {f: m for f, m in lcm.items() if m}
+    if not s:
+        return RF_ZERO
+    return _make(s, num, _factor_product(den, {}))
+
+
+def _factor_product(mult, minus):
+    """prod f^(m - minus[f]) over the items f -> m of mult."""
+    out = P_ONE
+    for f, m in mult.items():
+        m -= minus.get(f, 0)
+        if m:
+            out = out * f**m
+    return out
+
+
 # -- quadratic extension for the genus-g hook numerators ----------------------
 
 

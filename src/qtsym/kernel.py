@@ -23,6 +23,16 @@ sums the partition contributions once per sorted orbit representative
 and stores the reduced sum, as one shared object, under every key of
 the orbit. Storage stays dense over all alphabet keys.
 
+No coefficient of the series takes a gcd. The denominator of every
+weight is the norm a_lam, whose irreducible factors are known in closed
+form (macdonald.norm_factors). Each Macdonald coefficient and each part
+of the hook numerator is split once per partition into a cofactor times
+powers of those factors (coeffring.divide_out). A term multiplies
+cofactors and adds multiplicities, keeping in its denominator only the
+factors it has fewer times than a_lam, and the terms of an orbit are
+added over the factors by Henrici's rule (coeffring.factored_sum).
+hook_factor is the term of the empty key, from the same split parts.
+
 The series components (one memo entry per degree, shared by every cap),
 the Log and the kernels, bivariate or specialized at a point, are
 memoized as table-derived data (macdonald.derived): each
@@ -32,16 +42,20 @@ whenever the tables are cleared or any table is registered.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from .coeffring import (
-    HF_ONE,
+    P_ONE,
+    P_ZERO,
     HookField,
     Polynomial,
     RationalFunction,
+    divide_out,
+    factored_sum,
     rf,
 )
-from .macdonald import build_table, derived, norm_product
+from .macdonald import build_table, derived, norm_factors
 from .partitions import Partition, partitions_of
 from .plethysm import Series, log_series
 from .symfunc import SymFunc
@@ -54,63 +68,142 @@ _Tv = Polynomial.var("t")
 _QT_TO_ZW = {"q": "Z", "t": "W"}
 
 
+def _check_nonnegative(**counts):
+    """Raise ValueError naming the first of counts that is negative."""
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError("%s must be non-negative, got %s" % (name, value))
+
+
 def hook_factor(lam, genus):
     """Weight of one partition: squared-hook numerators to the power genus
     over the two-parameter hook denominators, in (Z, W, eps). The
-    denominator is the norm a_lam with q, t renamed Z, W."""
-    lam = Partition(lam)
-    weight = rf(norm_product(lam).rename(_QT_TO_ZW)).inverse()
+    denominator is the norm a_lam with q, t renamed Z, W. The term of
+    the empty key in _cauchy_component, from the same split parts."""
+    _check_nonnegative(genus=genus)
+    norm, parts = _hook_parts(Partition(lam), genus)
+    return _orbit_coefficient([_over_norm(part, norm)] for part in parts)
+
+
+@lru_cache(maxsize=None)
+def _norm_zw(lam):
+    """(unit, ((f, m), ...)) of the norm a_lam, with q, t renamed Z, W."""
+    unit, factors = norm_factors(lam)
+    return unit, tuple((f.rename(_QT_TO_ZW), m) for f, m in factors)
+
+
+def _split(c, norm):
+    """(scalar, cofactor, {f: k}) with c = scalar * cofactor * prod f^k for
+    a polynomial RationalFunction c, each f a factor of the norm divided
+    out at most its multiplicity m there (divide_out): when k < m,
+    cofactor is prime to f."""
+    prim = c.prim
+    mult = {}
+    for f, m in norm[1]:
+        prim, k = divide_out(prim, f, m)
+        if k:
+            mult[f] = k
+    return c.scalar, prim, mult
+
+
+def _times(x, y):
+    """The product of two splits: scalars and cofactors multiply, and the
+    multiplicities add."""
+    mult = dict(x[2])
+    for f, k in y[2].items():
+        mult[f] = mult.get(f, 0) + k
+    return x[0] * y[0], x[1] * y[1], mult
+
+
+def _over_norm(x, norm):
+    """The split x over a_lam = unit * prod f^m, as a (scalar, prim, mult)
+    term of coeffring.factored_sum: a multiplicity of x above m goes back
+    into the numerator, the deficit below m is the denominator. Where f is
+    left in the denominator every cofactor of x is prime to f, so the
+    term is reduced."""
+    s, prim, mult = x
+    unit, factors = norm
+    den = {}
+    for f, m in factors:
+        e = mult.get(f, 0) - m
+        if e > 0:
+            prim = prim * f**e
+        elif e < 0:
+            den[f] = -e
+    # unit is 1 or -1, its own inverse
+    return s * unit, prim, den
+
+
+@lru_cache(maxsize=None)
+def _hook_parts(lam, genus):
+    """(norm, parts) for the weight of lam: the factored norm in (Z, W)
+    and the splits of the hook numerator prod over the cells of
+    (Z^(2a+1) + W^(2l+1) - 2 Z^a W^l eps)^genus, one for genus 0 (the
+    numerator 1) and one each for its base and eps parts otherwise."""
+    norm = _norm_zw(lam)
     if genus == 0:
-        return weight
-    num = HF_ONE
+        return norm, ((1, P_ONE, {}),)
+    base, odd = P_ONE, P_ZERO
     for (i, j) in lam.cells():
         a = lam.arm(i, j)
         l = lam.leg(i, j)
-        cell = HookField(
-            rf(_Z ** (2 * a + 1) + _W ** (2 * l + 1)),
-            rf((_Z**a * _W**l).scale(-2)),
-        )
-        num = num * cell**genus
-    return num * weight
+        cell_base = _Z ** (2 * a + 1) + _W ** (2 * l + 1)
+        cell_odd = (_Z**a * _W**l).scale(-2)
+        for _ in range(genus):
+            # (b + o eps)(b' + o' eps) with eps^2 = Z W
+            base, odd = base * cell_base + odd * cell_odd * _Z * _W, base * cell_odd + odd * cell_base
+    return norm, tuple(_split(rf(p), norm) for p in (base, odd))
+
+
+def _orbit_coefficient(sums):
+    """One coefficient from the term lists of its parts (coeffring.factored_sum):
+    a RationalFunction for one part, a HookField of base and eps parts for two."""
+    out = [factored_sum(terms) for terms in sums]
+    return out[0] if len(out) == 1 else HookField(*out)
 
 
 @derived
-def _htilde_zw(n):
-    """Power-sum expansions of the degree-n Macdonald elements in (Z, W)."""
-    table = build_table(n)
+def _htilde_splits(d):
+    """lam -> kappa -> the split of the p_kappa coefficient of the degree-d
+    Macdonald element in (Z, W) against the factored norm of lam."""
+    table = build_table(d)
     return {
-        lam: {kappa: c.rename(_QT_TO_ZW) for kappa, c in table.htilde_p_dict(lam).items()}
+        lam: {
+            kappa: _split(c.rename(_QT_TO_ZW), _norm_zw(lam))
+            for kappa, c in table.htilde_p_dict(lam).items()
+        }
         for lam in table.partitions
     }
-
-
-def _tensor_power(p_dict, points, weight):
-    """Coefficients of weight * prod_j H[X_j] on the non-decreasing keys
-    over sorted(p_dict), one per orbit of the alphabet permutations.
-    Permuting the alphabets permutes the factors of a term, so every key
-    of an orbit has the coefficient of its sorted representative."""
-    kappas = sorted(p_dict)
-    out = {(): weight}
-    for _ in range(points):
-        new = {}
-        for key, c in out.items():
-            for kappa in kappas:
-                if not key or key[-1] <= kappa:
-                    new[key + (kappa,)] = c * p_dict[kappa]
-        out = new
-    return out
 
 
 @derived
 def _cauchy_component(genus, points, d):
     """Degree-d component of the series, summed per orbit representative
-    and stored densely, one shared coefficient per orbit."""
+    and stored densely, one shared coefficient per orbit.
+
+    Each partition's term on a non-decreasing key of power sums is its
+    hook numerator times the product of its Macdonald coefficients over
+    its norm, split against the norm's factors; the terms of an orbit are
+    summed over those factors (coeffring.factored_sum), with no gcd.
+    Permuting the alphabets permutes the factors of a term, so every key
+    of an orbit has the coefficient of its sorted representative."""
     reps = {}
-    for lam in partitions_of(d):
-        weight = hook_factor(lam, genus)
-        for rep, c in _tensor_power(_htilde_zw(d)[lam], points, weight).items():
-            prev = reps.get(rep)
-            reps[rep] = c if prev is None else prev + c
+    for lam, splits in _htilde_splits(d).items():
+        norm, parts = _hook_parts(lam, genus)
+        kappas = sorted(splits)
+        prods = {(): (1, P_ONE, {})}
+        for _ in range(points):
+            prods = {
+                key + (kappa,): _times(x, splits[kappa])
+                for key, x in prods.items()
+                for kappa in kappas
+                if not key or key[-1] <= kappa
+            }
+        for rep, x in prods.items():
+            terms = reps.setdefault(rep, [[] for _ in parts])
+            for out, part in zip(terms, parts):
+                out.append(_over_norm(_times(part, x), norm))
+    reps = {rep: _orbit_coefficient(sums) for rep, sums in reps.items()}
     terms = {}
     for key in product(sorted(partitions_of(d)), repeat=points):
         c = reps.get(tuple(sorted(key)))
@@ -122,6 +215,7 @@ def _cauchy_component(genus, points, d):
 @derived
 def cauchy_series(genus, points, cap):
     """The truncated generating series; constant term 1."""
+    _check_nonnegative(genus=genus, points=points, cap=cap)
     series = Series(cap, points)
     series.comps[0] = SymFunc.one(points)
     for d in range(1, cap + 1):
@@ -142,6 +236,9 @@ def kernel(n, genus, points, point=None):
     (n, genus, points, point) and kept until the tables are cleared or
     any table is registered.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1, got %s" % n)
+    _check_nonnegative(genus=genus, points=points)
     # one memo entry per kernel, whether or not the caller passed point
     return _kernel(n, genus, points, point)
 

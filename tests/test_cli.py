@@ -89,6 +89,23 @@ def test_kernel_json_round_trips_through_parsers(capsys):
         RationalFunction.parse(coeff["odd"])
 
 
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        (["--n", "-1"], "n"),
+        (["--n", "0"], "n"),
+        (["--n", "1", "--genus", "-1"], "genus"),
+        (["--n", "1", "--points", "-1"], "points"),
+    ],
+)
+def test_kernel_rejects_bad_arguments(capsys, args, name):
+    code = main(["kernel", *args])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.fullmatch(r"ValueError: %s must be [^\n]*\n" % name, captured.err)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["ccoef", "--factors", "[2,2]"])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from qtsym.coeffring import (
     _gcd_prs,
     _interpolate_rows,
     binomial_factors,
+    factored_sum,
     gcd_cofactors,
     gcd_path_counts,
     normalize_fraction,
@@ -216,6 +218,68 @@ def test_reduce_by_factors_matches_gcd_reduction(case):
     want = RationalFunction(num, norm_product(eta))
     assert got == want
     assert repr(got) == repr(want)
+
+
+_ZW_FACTORS = sorted(
+    {f.rename({"q": "Z", "t": "W"}) for eta in _ETAS for f, _ in norm_factors(eta)[1]},
+    key=repr,
+)
+
+
+def _factored_term(rng):
+    """A random reduced (scalar, prim, mult) term over the (Z, W) norm
+    factors, with a numerator that is a product of other factors, maybe
+    plus a small integer polynomial, and the term as a RationalFunction;
+    None when the drawn numerator is not prime to the denominator."""
+    mult = {f: rng.randint(1, 2) for f in rng.sample(_ZW_FACTORS, rng.randint(0, 3))}
+    num = P_ONE
+    for f in rng.sample([f for f in _ZW_FACTORS if f not in mult], rng.randint(0, 2)):
+        num = num * f
+    if rng.random() < 0.5:
+        num = num + Polynomial(("Z", "W"), {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)})
+    if num.is_zero():
+        return None
+    den = P_ONE
+    for f, m in mult.items():
+        den = den * f**m
+    scalar = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+    want = RationalFunction(num.scale(scalar), den)
+    if want.den != den:
+        return None
+    return (want.scalar, want.prim, mult), want
+
+
+def _check_factored_sum(terms, parts):
+    got = factored_sum(terms)
+    want = sum(parts, RationalFunction.const(0))
+    assert got == want
+    assert repr(got) == repr(want)
+    return got
+
+
+def test_factored_sum_matches_rational_addition():
+    rng = random.Random(20240515)
+    for _ in range(150):
+        drawn = [x for x in (_factored_term(rng) for _ in range(rng.randint(1, 4))) if x]
+        _check_factored_sum([term for term, _ in drawn], [part for _, part in drawn])
+    f = (Z - W).primitive()
+    g = Z**2 + Z * W + W**2
+    one_over_f = (1, P_ONE, {f: 1})
+    # a factor of g = f that divides the new numerator: 1/f + (f - 1)/f = 1
+    assert _check_factored_sum([one_over_f, (1, f - 1, {f: 1})], [rf(1) / rf(f), rf(f - 1) / rf(f)]) == rf(1)
+    # one that does not: 1/f^2 + 1/(f g) = (g + f)/(f^2 g)
+    got = _check_factored_sum(
+        [(1, P_ONE, {f: 2}), (1, P_ONE, {f: 1, g: 1})], [rf(1) / rf(f**2), rf(1) / rf(f * g)]
+    )
+    assert got.den == f**2 * g
+    # a sum that cancels to zero, also before a further term
+    minus = (-1, P_ONE, {f: 1})
+    assert _check_factored_sum([one_over_f, minus], [rf(1) / rf(f), rf(-1) / rf(f)]).is_zero()
+    _check_factored_sum(
+        [one_over_f, minus, (Fraction(1, 3), g, {f: 1})],
+        [rf(1) / rf(f), rf(-1) / rf(f), rf(g) / rf(f * 3)],
+    )
+    assert factored_sum([]).is_zero()
 
 
 def test_rational_function_parse_round_trip():

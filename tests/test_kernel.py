@@ -13,7 +13,7 @@ from qtsym.kernel import (
     q1_point,
     specialize_kernel,
 )
-from qtsym.macdonald import build_table, clear_tables
+from qtsym.macdonald import build_table, clear_tables, norm_product, register_table
 from qtsym.partitions import Partition, partitions_of
 from qtsym.plethysm import exp_series
 from qtsym.symfunc import SymFunc, h_elem, hall_scalar, m_elem, p_elem, s_elem
@@ -204,6 +204,33 @@ def test_cauchy_series_matches_dense_definition(n, genus, points):
     assert cauchy_series(genus, points, n).component(n) == expect
 
 
+# the hook numerator raised to a power of two or three
+HIGHER_GENUS_CASES = [(2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 3, 1)]
+
+
+@pytest.mark.parametrize("n,genus,points", HIGHER_GENUS_CASES)
+def test_higher_genus_cauchy_series_matches_dense_definition(n, genus, points):
+    expect = _dense_cauchy_component(genus, points, n)
+    assert cauchy_series(genus, points, n).component(n) == expect
+
+
+def test_hook_factor_matches_the_cell_product():
+    # the weight built in rational and hook-field arithmetic, cell by cell
+    ren = {"q": "Z", "t": "W"}
+    for d in range(1, 5):
+        for lam in partitions_of(d):
+            inv_norm = rf(norm_product(lam).rename(ren)).inverse()
+            assert hook_factor(lam, 0) == inv_norm
+            for genus in (1, 2, 3):
+                num = HookField(rf(1))
+                for (i, j) in lam.cells():
+                    a, l = lam.arm(i, j), lam.leg(i, j)
+                    num = num * HookField(rf(Z ** (2 * a + 1) + W ** (2 * l + 1)), rf(-2 * Z**a * W**l)) ** genus
+                got = hook_factor(lam, genus)
+                want = num * inv_norm
+                assert got == want and repr(got) == repr(want), (lam, genus)
+
+
 def test_cauchy_components_are_shared_across_caps_and_cleared():
     first = cauchy_series(1, 2, 2).component(1)
     assert cauchy_series(1, 2, 3).component(1) is first
@@ -230,13 +257,42 @@ def test_specialized_kernels_are_cached_per_point_and_cleared():
 
 
 def test_cauchy_series_takes_no_prs_fallback():
-    # the (degree 4, genus 1, one alphabet) series of the kernel-assembly benchmark
-    clear_tables()
+    # the (degree 4, genus 1, one alphabet) series of the kernel-assembly
+    # benchmark: no gcd at all, and its Log takes bivariate gcds only
+    for d in range(1, 5):
+        build_table(d)
+    register_table(build_table(4))  # drops every derived memo, keeps the tables
     before = gcd_path_counts()
     cauchy_series(1, 1, 4)
+    assert gcd_path_counts() == before
+    log_cauchy_series(1, 1, 4)
     after = gcd_path_counts()
     assert after["bivariate"] > before["bivariate"]
     assert after["prs"] == before["prs"]
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: kernel(0, 0, 1), "n"),
+        (lambda: kernel(-1, 0, 1), "n"),
+        (lambda: kernel(1, -1, 1), "genus"),
+        (lambda: kernel(1, 0, -1), "points"),
+        (lambda: cauchy_series(0, 1, -1), "cap"),
+        (lambda: cauchy_series(-1, 1, 2), "genus"),
+        (lambda: log_cauchy_series(0, -1, 2), "points"),
+        (lambda: log_cauchy_series(0, 1, -1), "cap"),
+        (lambda: hook_factor(P(1), -1), "genus"),
+    ],
+)
+def test_kernel_arguments_are_validated(call, name):
+    with pytest.raises(ValueError, match=r"^%s must be" % name):
+        call()
+
+
+def test_zero_punctures_give_the_weight_sums():
+    assert kernel(2, 1, 0).terms == {(): HookField(rf(Z + W), rf(-2))}
+    assert cauchy_series(0, 2, 0).comps == [SymFunc.one(2)]
 
 
 def _rational_coefficients(F):
