@@ -39,10 +39,17 @@ the images, the univariate gcds, the interpolation and the certifying
 trial division all run on int lists. The sample points start at 2 and
 skip 0 and +-1, which are roots of the hook binomials Z^a - W^b and give
 images of too high a degree. The certifying division yields a/g and
-b/g, which RationalFunction uses instead of dividing again.
-Three or more indeterminates take the primitive PRS, which is also the
-last resort of the bivariate route and the reference its tests compare
-against; gcd_path_counts() tells how many gcds took each path.
+b/g, which RationalFunction uses instead of dividing again, and the
+input degrees bound the points needed, so the route always certifies.
+Three or more indeterminates, which no engine call has, take the
+subresultant PRS, also the reference the tests hold the bivariate route
+to; gcd_path_counts() tells how many gcds took each path.
+
+A fraction over known irreducible factors, such as a Macdonald norm
+(macdonald.norm_factors), takes no gcd: split_factors, the one trial
+division, splits a polynomial into a cofactor times powers of the
+factors, split_product and split_over multiply such splits and put them
+over the norm, and factored_sum adds them by Henrici's rule.
 
 Values are immutable after construction and safe to share between
 threads; the gcd path counts are process-wide diagnostics.
@@ -613,22 +620,6 @@ def _join_main(coeffs, main):
     return out
 
 
-def _monomial_content(p):
-    """Per-variable minimum exponents over all terms."""
-    mins = None
-    for e in p.terms:
-        mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
-    return mins
-
-
-def _strip_monomial(p, mins):
-    if mins is None or not any(mins):
-        return p
-    return Polynomial._raw(
-        p.vars, {tuple(map(sub, e, mins)): c for e, c in p.terms.items()}
-    )
-
-
 def _poly_content_in(p, main):
     parts = _split_main(p, main)
     g = P_ZERO
@@ -640,28 +631,24 @@ def _poly_content_in(p, main):
 
 
 def _pseudo_rem(a, b, main):
-    """Pseudo remainder of a by b in variable main (up to lc powers)."""
-    da = _split_main(a, main)
+    """lc(b)^(deg a - deg b + 1) * a mod b in main, for deg a >= deg b."""
+    r = _split_main(a, main)
     db = _split_main(b, main)
     degb = max(db)
-    lcb = db[degb]
-    r = da
-    while r and max(r) >= degb:
-        degr = max(r)
-        lcr = r[degr]
+    lcb = db.pop(degb)
+    for degr in range(max(r), degb - 1, -1):
+        lcr = r.pop(degr, None)
+        r = {d: c * lcb for d, c in r.items()}
+        if lcr is None:
+            continue
         shift = degr - degb
-        new = {}
-        for d, c in r.items():
-            new[d] = c * lcb
         for d, c in db.items():
             e = d + shift
-            val = new.get(e, P_ZERO) - c * lcr
+            val = r.get(e, P_ZERO) - c * lcr
             if val.is_zero():
-                new.pop(e, None)
+                r.pop(e, None)
             else:
-                new[e] = val
-        new.pop(degr, None)
-        r = new
+                r[e] = val
     return _join_main(r, main) if r else P_ZERO
 
 
@@ -847,9 +834,7 @@ def _rows_poly(rows, x, y, scale=1):
 def _brown_gcd(a, b, names):
     """(g, a/g, b/g) for canonical a, b in the one or two indeterminates
     names, by evaluation and interpolation on integer arrays (Brown,
-    J. ACM 18, 1971); None when no candidate is certified within the
-    sampling budget of _interpolated_gcd, and the caller then takes the
-    primitive PRS.
+    J. ACM 18, 1971).
 
     y is the indeterminate of smaller degree, so fewer points are needed;
     with one indeterminate there is no y and every row is a constant.
@@ -875,10 +860,7 @@ def _brown_gcd(a, b, names):
     if len(A) == 1 or len(B) == 1:
         G, QA, QB = [[1]], A, B
     else:
-        found = _interpolated_gcd(A, B)
-        if found is None:
-            return None
-        G, QA, QB = found
+        G, QA, QB = _interpolated_gcd(A, B)
     if G == [[1]] and gc == [1]:
         return P_ONE, a, b
     g = _rows_poly([_intlist_mul(gc, r) for r in G], x, y)
@@ -895,7 +877,7 @@ def _brown_gcd(a, b, names):
 
 def _interpolated_gcd(A, B):
     """(G, A/G, B/G) for rows A, B, each primitive in x of x-degree >= 1,
-    with G their gcd; None when too many points fail.
+    with G their gcd.
 
     Points where a leading row vanishes are skipped. Images of lowest
     degree are kept; one of degree 0 proves the gcd is 1. The candidate
@@ -903,17 +885,23 @@ def _interpolated_gcd(A, B):
     deg gamma, so that many points plus one give it once every kept image
     has the degree of G. A candidate that does not divide A and B proves
     that its images were all unlucky (their degree is too high), so
-    sampling goes on below that degree.
+    sampling goes on below that degree. No lucky point is dropped, and a
+    point is unlucky only at a root of lc(A) lc(B) or of the resultant in
+    x of A/G and B/G, of y-degree at most deg_x A deg_y B + deg_x B deg_y A
+    (Brown); so past that many points plus n_points there is a bug.
     """
     la, lb = A[-1], B[-1]
     gamma = _intlist_gcd(la, lb)
-    n_points = min(max(map(len, A)), max(map(len, B))) - 1 + len(gamma)
+    dxa, dya = len(A) - 1, max(map(len, A)) - 1
+    dxb, dyb = len(B) - 1, max(map(len, B)) - 1
+    n_points = min(dya, dyb) + len(gamma)
+    budget = n_points + len(la) - 1 + len(lb) - 1 + dxa * dyb + dxb * dya
     points = []
     images = []
     bound = len(A)
     for tried, y0 in enumerate(_sample_points()):
-        if tried == 4 * n_points + 20:
-            return None
+        if tried == budget:
+            raise ArithmeticError("no gcd certified after %d sample points" % budget)
         if not _horner(la, y0) or not _horner(lb, y0):
             continue
         g0 = _intlist_gcd([_horner(r, y0) for r in A], [_horner(r, y0) for r in B])
@@ -990,33 +978,18 @@ def _sample_points():
 
 
 def _gcd_prs(a, b):
-    """Gcd of canonical, non-constant a and b by the primitive PRS
+    """Gcd of canonical, non-constant a and b by the subresultant PRS
     (pseudo-remainder sequence) in one indeterminate, with contents taken
-    recursively. It is the route for three or more indeterminates, the
-    last resort of the bivariate route, and the reference the tests hold
-    that route to."""
-    mina = _monomial_content(a)
-    minb = _monomial_content(b)
-    av, bv = set(a.vars), set(b.vars)
-    mono = {}
-    for v in sorted(av | bv, key=_var_key):
-        ea = mina[a.vars.index(v)] if v in av else 0
-        eb = minb[b.vars.index(v)] if v in bv else 0
-        m = min(ea if v in av else 0, eb if v in bv else 0)
-        if m:
-            mono[v] = m
-    a = _strip_monomial(a, mina).canonical()
-    b = _strip_monomial(b, minb).canonical()
-    mono_poly = (
-        Polynomial(tuple(mono), {tuple(mono[v] for v in mono): 1}) if mono else P_ONE
-    )
-
-    if a.is_constant() or b.is_constant():
-        return mono_poly
-
+    recursively (Knuth, TAOCP vol. 2, 4.6.1, Algorithm C). It is the route
+    for three or more indeterminates and the reference the tests hold the
+    bivariate route to. The inputs are made primitive, so the remainders
+    have integer coefficients, and dividing each by lc * h^delta bounds
+    their growth without a content gcd at every step."""
+    a = a.primitive()
+    b = b.primitive()
     shared = sorted(set(a.vars) & set(b.vars), key=_var_key)
     if not shared:
-        return mono_poly
+        return P_ONE
     main = min(shared, key=lambda v: max(a.degree_in(v), b.degree_in(v)))
 
     cont_a = _poly_content_in(a, main)
@@ -1027,19 +1000,22 @@ def _gcd_prs(a, b):
 
     if pa.degree_in(main) < pb.degree_in(main):
         pa, pb = pb, pa
-    while not pb.is_zero():
+    lc = h = P_ONE
+    while True:
+        delta = pa.degree_in(main) - pb.degree_in(main)
         r = _pseudo_rem(pa, pb, main)
         if r.is_zero():
-            pa, pb = pb, r
             break
-        cont_r = _poly_content_in(r, main)
-        r = r.divexact(cont_r) if not cont_r.is_constant() else r.primitive()
-        pa, pb = pb, r
-    g = pa
-    cont_g = _poly_content_in(g, main)
-    if not cont_g.is_constant():
-        g = g.divexact(cont_g)
-    return (mono_poly * g_cont * g).primitive()
+        if not r.degree_in(main):
+            pb = P_ONE
+            break
+        pa, pb = pb, r.divexact(lc * h**delta)
+        lc = _split_main(pa, main)[pa.degree_in(main)]
+        if delta:
+            h = (lc**delta).divexact(h ** (delta - 1))
+    cont_g = _poly_content_in(pb, main)
+    g = pb.divexact(cont_g) if not cont_g.is_constant() else pb
+    return (g_cont * g).primitive()
 
 
 # How many top-level gcds took each path; read through gcd_path_counts().
@@ -1051,9 +1027,9 @@ def gcd_path_counts():
 
     'trivial': an argument is zero or constant, or both are equal;
     'univariate': both in one indeterminate; 'bivariate': the integer-array
-    evaluation-interpolation route; 'prs': the primitive PRS, taken for
-    three or more indeterminates and when the bivariate route certifies
-    no candidate. Gcds taken inside the PRS are not counted.
+    evaluation-interpolation route, which always certifies its result;
+    'prs': the subresultant PRS, taken only for three or more
+    indeterminates. Gcds taken inside the PRS are not counted.
     """
     return dict(_GCD_PATHS)
 
@@ -1086,9 +1062,7 @@ def _gcd(a, b):
     b = b.canonical()
     names = sorted(set(a.vars) | set(b.vars), key=_var_key)
     if len(names) <= 2:
-        out = _brown_gcd(a, b, names)
-        if out is not None:
-            return ("univariate" if len(names) == 1 else "bivariate",) + out
+        return ("univariate" if len(names) == 1 else "bivariate",) + _brown_gcd(a, b, names)
     g = _gcd_prs(a, b)
     return "prs", g, a.divexact(g), b.divexact(g)
 
@@ -1431,13 +1405,12 @@ def _reduce_fraction(num, den):
     if num.is_zero():
         return 0, P_ZERO, P_ONE
     cn, num = _split_content(num)
+    if den.is_constant():
+        return _quo(cn, den.constant_value()), num, P_ONE
     cd, den = _split_content(den)
+    _, num, den = gcd_cofactors(num, den)
     if den.is_constant():
         den = P_ONE
-    else:
-        _, num, den = gcd_cofactors(num, den)
-        if den.is_constant():
-            den = P_ONE
     return _quo(cn, cd), num, den
 
 
@@ -1505,46 +1478,51 @@ def binomial_factors(x, a, y, b):
     return unit, tuple(factors)
 
 
-def divide_out(num, f, m):
-    """(num / f^k, k) for the largest k <= m such that f^k divides num:
-    f is divided out for as long as it divides, at most m times."""
-    k = 0
-    while k < m:
-        try:
-            num = num.divexact(f)
-        except ValueError:
-            break
-        k += 1
-    return num, k
-
-
-def reduce_by_factors(num, factors, unit=1):
-    """num / (unit * prod f^m over the pairs (f, m) in factors) as a reduced
-    RationalFunction.
-
-    num is a Polynomial, or a RationalFunction with denominator 1 whose
-    scalar and primitive part are taken as they are. The f must be
-    distinct irreducible polynomials, each primitive with positive
-    leading coefficient, and unit a nonzero rational. Each factor is
-    divided out of num (divide_out); what is left of the denominator is
-    coprime to the numerator, so no gcd is needed.
-    """
-    if isinstance(num, RationalFunction):
-        if not num.is_polynomial():
-            raise ValueError("numerator %s is not a polynomial" % num)
-        c, num = num.scalar, num.prim
-    else:
-        c, num = _split_content(num)
-    if num.is_zero():
-        return RF_ZERO
-    den = P_ONE
+def split_factors(p, factors):
+    """(cofactor, {f: k}) with p = cofactor * prod f^k over the (f, m)
+    pairs of factors: each f is divided out of p for as long as it
+    divides, at most m times, so where k < m the cofactor is prime to an
+    irreducible f. Zero multiplicities are left out."""
+    mult = {}
     for f, m in factors:
-        num, k = divide_out(num, f, m)
-        if k < m:
-            den = den * f ** (m - k)
-    # the cofactors of primitive polynomials with positive leading
-    # coefficients are such polynomials too (Gauss)
-    return _make(_quo(c, unit), num, den)
+        k = 0
+        while k < m:
+            try:
+                p = p.divexact(f)
+            except ValueError:
+                break
+            k += 1
+        if k:
+            mult[f] = k
+    return p, mult
+
+
+def split_product(x, y):
+    """The product of two (scalar, cofactor, {f: k}) splits: scalars and
+    cofactors multiply, and the multiplicities add."""
+    mult = dict(x[2])
+    for f, k in y[2].items():
+        mult[f] = mult.get(f, 0) + k
+    return x[0] * y[0], x[1] * y[1], mult
+
+
+def split_over(x, norm):
+    """The split x over norm = (unit, ((f, m), ...)), unit 1 or -1, as a
+    (scalar, prim, mult) term of factored_sum: a multiplicity of x above m
+    goes back into the numerator, the deficit below m is the denominator.
+    The term is reduced if every cofactor of x is prime to the f left in
+    the denominator, as split_factors leaves them."""
+    s, prim, mult = x
+    unit, factors = norm
+    den = {}
+    for f, m in factors:
+        e = mult.get(f, 0) - m
+        if e > 0:
+            prim = prim * f**e
+        elif e < 0:
+            den[f] = -e
+    # unit is 1 or -1, its own inverse
+    return s * unit, prim, den
 
 
 def factored_sum(terms):
@@ -1558,7 +1536,7 @@ def factored_sum(terms):
     Terms are added by Henrici's rule on the multiplicities: g is the
     per-factor minimum, the cofactors d1/g and d2/g are products of known
     factors, and only the factors of g, at most their multiplicity in g,
-    are divided out of the new numerator (divide_out). No gcd is taken,
+    are divided out of the new numerator (split_factors). No gcd is taken,
     and the denominator is multiplied out once, at the end.
     """
     s, num, den = 0, P_ZERO, {}
@@ -1579,8 +1557,8 @@ def factored_sum(terms):
         lcm = dict(den)
         for f, m in den2.items():
             lcm[f] = max(m, lcm.get(f, 0))
-        for f, m in g.items():
-            num, k = divide_out(num, f, m)
+        num, divided = split_factors(num, g.items())
+        for f, k in divided.items():
             lcm[f] -= k
         den = {f: m for f, m in lcm.items() if m}
     if not s:

@@ -27,10 +27,11 @@ No coefficient of the series takes a gcd. The denominator of every
 weight is the norm a_lam, whose irreducible factors are known in closed
 form (macdonald.norm_factors). Each Macdonald coefficient and each part
 of the hook numerator is split once per partition into a cofactor times
-powers of those factors (coeffring.divide_out). A term multiplies
-cofactors and adds multiplicities, keeping in its denominator only the
-factors it has fewer times than a_lam, and the terms of an orbit are
-added over the factors by Henrici's rule (coeffring.factored_sum).
+powers of those factors (coeffring.split_factors). A term multiplies
+cofactors and adds multiplicities (coeffring.split_product), keeping in
+its denominator only the factors it has fewer times than a_lam
+(coeffring.split_over), and the terms of an orbit are added over the
+factors by Henrici's rule (coeffring.factored_sum).
 hook_factor is the term of the empty key, from the same split parts.
 
 The series components (one memo entry per degree, shared by every cap),
@@ -51,9 +52,11 @@ from .coeffring import (
     HookField,
     Polynomial,
     RationalFunction,
-    divide_out,
     factored_sum,
     rf,
+    split_factors,
+    split_over,
+    split_product,
 )
 from .macdonald import build_table, derived, norm_factors
 from .partitions import Partition, partitions_of
@@ -82,7 +85,7 @@ def hook_factor(lam, genus):
     the empty key in _cauchy_component, from the same split parts."""
     _check_nonnegative(genus=genus)
     norm, parts = _hook_parts(Partition(lam), genus)
-    return _orbit_coefficient([_over_norm(part, norm)] for part in parts)
+    return _orbit_coefficient([split_over(part, norm)] for part in parts)
 
 
 @lru_cache(maxsize=None)
@@ -90,48 +93,6 @@ def _norm_zw(lam):
     """(unit, ((f, m), ...)) of the norm a_lam, with q, t renamed Z, W."""
     unit, factors = norm_factors(lam)
     return unit, tuple((f.rename(_QT_TO_ZW), m) for f, m in factors)
-
-
-def _split(c, norm):
-    """(scalar, cofactor, {f: k}) with c = scalar * cofactor * prod f^k for
-    a polynomial RationalFunction c, each f a factor of the norm divided
-    out at most its multiplicity m there (divide_out): when k < m,
-    cofactor is prime to f."""
-    prim = c.prim
-    mult = {}
-    for f, m in norm[1]:
-        prim, k = divide_out(prim, f, m)
-        if k:
-            mult[f] = k
-    return c.scalar, prim, mult
-
-
-def _times(x, y):
-    """The product of two splits: scalars and cofactors multiply, and the
-    multiplicities add."""
-    mult = dict(x[2])
-    for f, k in y[2].items():
-        mult[f] = mult.get(f, 0) + k
-    return x[0] * y[0], x[1] * y[1], mult
-
-
-def _over_norm(x, norm):
-    """The split x over a_lam = unit * prod f^m, as a (scalar, prim, mult)
-    term of coeffring.factored_sum: a multiplicity of x above m goes back
-    into the numerator, the deficit below m is the denominator. Where f is
-    left in the denominator every cofactor of x is prime to f, so the
-    term is reduced."""
-    s, prim, mult = x
-    unit, factors = norm
-    den = {}
-    for f, m in factors:
-        e = mult.get(f, 0) - m
-        if e > 0:
-            prim = prim * f**e
-        elif e < 0:
-            den[f] = -e
-    # unit is 1 or -1, its own inverse
-    return s * unit, prim, den
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +113,8 @@ def _hook_parts(lam, genus):
         for _ in range(genus):
             # (b + o eps)(b' + o' eps) with eps^2 = Z W
             base, odd = base * cell_base + odd * cell_odd * _Z * _W, base * cell_odd + odd * cell_base
-    return norm, tuple(_split(rf(p), norm) for p in (base, odd))
+    parts = tuple(map(rf, (base, odd)))
+    return norm, tuple((c.scalar,) + split_factors(c.prim, norm[1]) for c in parts)
 
 
 def _orbit_coefficient(sums):
@@ -167,13 +129,12 @@ def _htilde_splits(d):
     """lam -> kappa -> the split of the p_kappa coefficient of the degree-d
     Macdonald element in (Z, W) against the factored norm of lam."""
     table = build_table(d)
-    return {
-        lam: {
-            kappa: _split(c.rename(_QT_TO_ZW), _norm_zw(lam))
-            for kappa, c in table.htilde_p_dict(lam).items()
-        }
-        for lam in table.partitions
-    }
+    out = {}
+    for lam in table.partitions:
+        factors = _norm_zw(lam)[1]
+        zw = {kappa: c.rename(_QT_TO_ZW) for kappa, c in table.htilde_p_dict(lam).items()}
+        out[lam] = {kappa: (c.scalar,) + split_factors(c.prim, factors) for kappa, c in zw.items()}
+    return out
 
 
 @derived
@@ -194,7 +155,7 @@ def _cauchy_component(genus, points, d):
         prods = {(): (1, P_ONE, {})}
         for _ in range(points):
             prods = {
-                key + (kappa,): _times(x, splits[kappa])
+                key + (kappa,): split_product(x, splits[kappa])
                 for key, x in prods.items()
                 for kappa in kappas
                 if not key or key[-1] <= kappa
@@ -202,7 +163,7 @@ def _cauchy_component(genus, points, d):
         for rep, x in prods.items():
             terms = reps.setdefault(rep, [[] for _ in parts])
             for out, part in zip(terms, parts):
-                out.append(_over_norm(_times(part, x), norm))
+                out.append(split_over(split_product(part, x), norm))
     reps = {rep: _orbit_coefficient(sums) for rep, sums in reps.items()}
     terms = {}
     for key in product(sorted(partitions_of(d)), repeat=points):

@@ -9,13 +9,13 @@ the Schur basis come straight out of the Kostka matrix and its inverse:
 
 Every operation is a sum over eta of terms whose denominators divide
 the norm a_eta, whose irreducible factors are known
-(macdonald.norm_factors). One routine, _macdonald_sum, takes each such
-sum over the per-factor maximum of its denominators and reduces it once
-by exact division, with no gcd; a denominator part foreign to a_eta, as
-from an operand with rational coefficients, goes into one lcm that is
-divided out at the end. Every operation reads the registered table of
-its degree (macdonald.build_table); a table built elsewhere goes in
-through macdonald.register_table.
+(macdonald.norm_factors). One routine, _macdonald_sum, adds each such
+sum as the Cauchy series is added (kernel._cauchy_component), with no
+gcd; a sum with a denominator a_eta does not account for, as from an
+operand with rational coefficients, takes plain RationalFunction
+arithmetic. Every operation reads the registered table of its degree
+(macdonald.build_table); a table built elsewhere goes in through
+macdonald.register_table.
 
 The adjoint operators psi_F are diagonal in the Macdonald basis; with
 F = e_n this is the nabla operator of Bergeron and Garsia, whose pairing
@@ -26,10 +26,18 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import product
-from math import lcm as _int_lcm
 from math import prod
 
-from .coeffring import P_ONE, P_ZERO, RF_ONE, Polynomial, divide_out, gcd_cofactors, reduce_by_factors, rf
+from .coeffring import (
+    P_ONE,
+    RF_ZERO,
+    Polynomial,
+    factored_sum,
+    rf,
+    split_factors,
+    split_over,
+    split_product,
+)
 from .macdonald import (
     build_table,
     corner_free_product,
@@ -71,68 +79,53 @@ def structure_coefficients_all(factors):
 @derived
 def _structure_coefficients(factors):
     table = build_table(factors[0].size)
-    weights = {
-        eta: prod((table.kostka_entry(mu, eta) for mu in factors), start=RF_ONE)
-        for eta in table.partitions
-    }
+    weights = {eta: [table.kostka_entry(mu, eta) for mu in factors] for eta in table.partitions}
     return _inverse_kostka_sum(weights, table)
 
 
 def _inverse_kostka_sum(weights, table):
-    """lam -> the sum over eta of K~^-1[eta, lam] * weights[eta]."""
+    """lam -> the sum over eta of K~^-1[eta, lam] times the product of the
+    weight factors weights[eta]."""
     return {
-        lam: _macdonald_sum((eta, table.kostka_inverse_entry(eta, lam), w) for eta, w in weights.items())
+        lam: _macdonald_sum((eta, table.kostka_inverse_entry(eta, lam), ws) for eta, ws in weights.items())
         for lam in table.partitions
     }
 
 
 def _macdonald_sum(terms):
-    """The sum of x*w over the (eta, x, w) triples of RationalFunctions,
-    reduced once: the denominator of x is split against the factors of
-    a_eta, and what is left of it joins the denominator of w in one lcm.
-    The products of primitive parts are summed on ints, each times its
-    scalar over the lcm of the scalars' denominators. One term with a
-    constant w is x*w, already reduced."""
-    terms = [(eta, x, w) for eta, x, w in terms if x and w]
-    if len(terms) == 1 and terms[0][2].is_constant():
-        return terms[0][1] * terms[0][2]
-    scaled = []
-    common = {}
-    lcm = P_ONE
-    unit = 1
-    for eta, x, w in terms:
-        mult, rest = _norm_split(x.den, eta)
-        den = rest * w.den
-        lcm = lcm * gcd_cofactors(lcm, den)[2]
-        s = x.scalar * w.scalar
-        unit = _int_lcm(unit, s.denominator)
-        scaled.append((s, x.prim * w.prim, dict(mult), den))
-        for f, m in mult:
-            common[f] = max(common.get(f, 0), m)
-    num = P_ZERO
-    for s, term, mult, den in scaled:
-        for f, m in common.items():
-            extra = m - mult.get(f, 0)
-            if extra:
-                term = term * f**extra
-        k = s.numerator * (unit // s.denominator)
-        num = num + (term * lcm.divexact(den)).scale(k)
-    out = reduce_by_factors(num, common.items(), unit)
-    return out if lcm == P_ONE else out / lcm
+    """The sum of x * prod(ws) over the (eta, x, ws) terms of
+    RationalFunctions; _plain_sum unless every x has a denominator that
+    divides a_eta and every weight factor is a polynomial.
+
+    With a_eta = unit * prod f^m, such an x = s * prim / prod f^d is the
+    split (s * unit, prim, {f: m - d}) times 1 / a_eta, with no trial
+    division. A term multiplies it by the split of each weight factor
+    and goes over a_eta, and the terms are added by factored_sum."""
+    terms = [(eta, x, ws) for eta, x, ws in terms if x and all(ws)]
+    out = []
+    for eta, x, ws in terms:
+        rest, deficit = _norm_split(x.den, eta)
+        if rest != P_ONE or not all(w.is_polynomial() for w in ws):
+            return _plain_sum(terms)
+        norm = norm_factors(eta)
+        term = (x.scalar * norm[0], x.prim, {f: m - deficit.get(f, 0) for f, m in norm[1]})
+        for w in ws:
+            term = split_product(term, (w.scalar,) + _norm_split(w.prim, eta))
+        out.append(split_over(term, norm))
+    return factored_sum(out)
+
+
+def _plain_sum(terms):
+    """The sum of x * prod(ws) over the (eta, x, ws) terms in
+    RationalFunction arithmetic."""
+    return sum((prod(ws, start=x) for _, x, ws in terms), RF_ZERO)
 
 
 @lru_cache(maxsize=None)
-def _norm_split(den, eta):
-    """(((f, m), ...), rest) with den = rest * prod f^m over the irreducible
-    factors f of the norm a_eta, each m at most the multiplicity of f in
-    a_eta; rest is 1 exactly when den divides a_eta."""
-    rest = den
-    out = []
-    for f, m in norm_factors(eta)[1]:
-        rest, k = divide_out(rest, f, m)
-        if k:
-            out.append((f, k))
-    return tuple(out), rest
+def _norm_split(p, eta):
+    """split_factors of p against the factors of a_eta: for a primitive p
+    with positive leading coefficient, the cofactor is 1 iff p | a_eta."""
+    return split_factors(p, norm_factors(eta)[1])
 
 
 def structure_coefficient(factors, target):
@@ -150,7 +143,7 @@ def macdonald_expansion(G):
     schur = expand1(G, "schur")
     out = {}
     for eta in table.partitions:
-        c = _macdonald_sum((eta, table.kostka_inverse_entry(eta, lam), g) for lam, g in schur.items())
+        c = _macdonald_sum((eta, table.kostka_inverse_entry(eta, lam), (g,)) for lam, g in schur.items())
         if not c.is_zero():
             out[eta] = c
     return out
@@ -170,8 +163,7 @@ def _htilde_sum(coeffs, k):
     table = build_table(Partition(next(iter(coeffs))).size)
     return _schur_sum({
         key: _macdonald_sum(
-            (eta, rf(c), prod((table.kostka_entry(lam, eta) for lam in key), start=RF_ONE))
-            for eta, c in coeffs.items()
+            (eta, rf(c), [table.kostka_entry(lam, eta) for lam in key]) for eta, c in coeffs.items()
         )
         for key in product(table.partitions, repeat=k)
     }, k)
@@ -196,7 +188,7 @@ def kostka_product(F, G):
     weights = {}
     for eta in table.partitions:
         H = table.htilde_sym(eta)
-        weights[eta] = hall_scalar(F, H) * hall_scalar(G, H)
+        weights[eta] = (hall_scalar(F, H), hall_scalar(G, H))
     return _schur_sum({(lam,): c for lam, c in _inverse_kostka_sum(weights, table).items()}, 1)
 
 

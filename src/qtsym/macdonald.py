@@ -20,7 +20,7 @@ the cells (norm_product) and are not stored.
 The norms a_eta are products of binomials q^A - t^B whose irreducible
 factors are known in closed form (norm_factors). Each inverse entry is
 a polynomial pairing over a_eta, reduced by dividing out those factors
-one at a time, with no polynomial gcd.
+(coeffring.split_factors), with no polynomial gcd.
 
 Every sum over the conjugacy classes kappa of S_n (the monomial to
 power-sum map, the checks of the characterization, the Kostka entries
@@ -38,7 +38,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .coeffring import P_ZERO, Polynomial, binomial_factors, reduce_by_factors, rf
+from .coeffring import (
+    P_ZERO,
+    Polynomial,
+    RationalFunction,
+    binomial_factors,
+    factored_sum,
+    rf,
+    split_factors,
+    split_over,
+)
 from .linalg import SingularSystem
 from .partitions import Partition, dominance_leq, partitions_of
 from .plethysm import AlphabetExpr, substitute, z_diagonal
@@ -131,7 +140,7 @@ def class_sum(pairs, divisor=1):
     for names, acc in groups.items():
         part = Polynomial(names, acc)
         total = part if total is P_ZERO else total + part
-    return reduce_by_factors(total, (), divisor)
+    return RationalFunction(total, divisor)
 
 
 def _class_weighted(n, coeffs):
@@ -296,15 +305,17 @@ def finish_table(n, htilde, kostka):
     size = factorial(n)
     # Orthogonality turns inversion into pairings: the coefficient of the
     # Macdonald element H_eta in s_lam is (s_lam, H_eta)^{q,t} / a_eta. The
-    # pairing is a polynomial; n! times it is an integer class sum, reduced
-    # against the known factors of a_eta, and 1/n! joins the unit.
+    # pairing is a polynomial, a class sum over n! of integer terms, and it
+    # is split against the known factors of a_eta and put over a_eta.
     kostka_inv = {}
     for eta in parts:
-        unit, factors = norm_factors(eta)
+        norm = norm_factors(eta)
         scaled = [(kappa, w, c * qt_factor(kappa)) for kappa, w, c in _class_weighted(n, htilde[eta])]
         for lam in parts:
-            num = class_sum((w * mn_character(lam, kappa), c) for kappa, w, c in scaled)
-            kostka_inv[(eta, lam)] = reduce_by_factors(num, factors, unit * size)
+            num = class_sum(((w * mn_character(lam, kappa), c) for kappa, w, c in scaled), size)
+            if num:
+                num = factored_sum([split_over((num.scalar,) + split_factors(num.prim, norm[1]), norm)])
+            kostka_inv[(eta, lam)] = num
     return MacdonaldTable(n, parts, htilde, kostka, kostka_inv)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qtsym import coeffring
 from qtsym.coeffring import (
     HookField,
     ParseError,
@@ -20,8 +22,9 @@ from qtsym.coeffring import (
     gcd_path_counts,
     normalize_fraction,
     poly_gcd,
-    reduce_by_factors,
     rf,
+    split_factors,
+    split_over,
 )
 from qtsym.macdonald import norm_factors, norm_product
 from qtsym.partitions import partitions_of
@@ -211,10 +214,11 @@ def _reduction_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_reduction_cases())
-def test_reduce_by_factors_matches_gcd_reduction(case):
+def test_split_over_norm_matches_gcd_reduction(case):
     eta, num = case
-    unit, factors = norm_factors(eta)
-    got = reduce_by_factors(num, factors, unit)
+    norm = norm_factors(eta)
+    c = RationalFunction(num)
+    got = factored_sum([split_over((c.scalar,) + split_factors(c.prim, norm[1]), norm)])
     want = RationalFunction(num, norm_product(eta))
     assert got == want
     assert repr(got) == repr(want)
@@ -440,6 +444,25 @@ def test_hook_binomial_gcd_takes_no_prs_fallback():
     after = gcd_path_counts()
     assert after["prs"] == before["prs"]
     assert after["bivariate"] == before["bivariate"] + 1
+
+
+def test_bivariate_gcd_certifies_after_a_run_of_unlucky_points(monkeypatch):
+    # W is the interpolation variable here; with c = (W-2)(W-3)(W-5), the
+    # images at W = 2, 3, 5 gain the common factor Z, so the first
+    # candidate fails and then W = 5 is skipped
+    g = Z + W + 1
+    a, b = g * Z, g * (Z - (W - 2) * (W - 3) * (W - 5))
+    usual = coeffring._sample_points
+    monkeypatch.setattr(coeffring, "_sample_points", lambda: itertools.chain((2, 3, 5), usual()))
+    before = gcd_path_counts()
+    got, ca, cb = gcd_cofactors(a, b)
+    assert gcd_path_counts()["prs"] == before["prs"]
+    assert got == g == _gcd_prs(a.canonical(), b.canonical())
+    assert (ca, cb) == (Z, Z - (W - 2) * (W - 3) * (W - 5))
+    # no lucky point: the budget the degrees give is reached, and that raises
+    monkeypatch.setattr(coeffring, "_sample_points", lambda: itertools.chain((2, 3), itertools.repeat(5)))
+    with pytest.raises(ArithmeticError, match="no gcd certified"):
+        gcd_cofactors(a, b)
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Source hygiene, by stdlib ast scans of src/qtsym and tests (package
 re-exports in __init__.py are exempt): no module imports a name it never
-uses, no function assigns a name it never reads, and every name the
-package exports is used somewhere in src/qtsym, tests or demos."""
+uses, no function assigns a name it never reads, every name the package
+exports is used somewhere in src/qtsym, tests or demos, and only
+coeffring divides or takes gcds of polynomials."""
 
 import ast
 from pathlib import Path
@@ -130,3 +131,48 @@ def test_scan_flags_an_unread_assignment():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.parent.name + "/" + p.name for p in SOURCES])
 def test_no_unread_assignments(path):
     assert unread_assignments(path.read_text()) == []
+
+
+# Exact division and gcds belong to coeffring, whose split_factors,
+# split_product, split_over and factored_sum handle every fraction over
+# known factors; the one exception is the Bareiss step, whose division
+# by the previous pivot is exact by Sylvester's identity.
+COEFFRING_ONLY = {"divexact", "gcd_cofactors", "poly_gcd"}
+COEFFRING_EXEMPT = {"linalg.py": {"solve_bareiss"}}
+MODULES = sorted(p for p in (ROOT / "src" / "qtsym").glob("*.py") if p.name != "coeffring.py")
+
+
+def coeffring_only_calls(source, exempt=()):
+    """(line, name) for each call of a COEFFRING_ONLY name in source, by
+    name or as an attribute, outside the functions named in exempt."""
+    out = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in exempt:
+            inside = True
+        if isinstance(node, ast.Call) and not inside:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in COEFFRING_ONLY:
+                out.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return sorted(out)
+
+
+def test_scan_flags_a_coeffring_only_call():
+    source = (
+        "from .coeffring import poly_gcd\n"
+        "def f(a, b):\n    return a.divexact(poly_gcd(a, b))\n"
+        "def g(a, b):\n    return a.divexact(b)\n"
+        "h = gcd_cofactors\n"
+    )
+    assert coeffring_only_calls(source) == [(3, "divexact"), (3, "poly_gcd"), (5, "divexact")]
+    assert coeffring_only_calls(source, {"g"}) == [(3, "divexact"), (3, "poly_gcd")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_coeffring_divides_or_takes_gcds(path):
+    assert coeffring_only_calls(path.read_text(), COEFFRING_EXEMPT.get(path.name, ())) == []

@@ -400,3 +400,43 @@ def test_operands_with_rational_coefficients():
                 eta: c * a for eta, c in macdonald_expansion(F).items()
             }
             assert nabla(F * a) == nabla(F) * a
+
+
+def test_tables_algebra_queries_stay_on_the_factored_path(monkeypatch):
+    # the benchmark's Kostka-algebra queries: every pair at n <= 4, the
+    # q,t-Catalan numbers and nabla(e_n); none may need plain arithmetic
+    from qtsym import kostka_algebra
+
+    def plain(terms):
+        raise AssertionError("plain RationalFunction path taken")
+
+    monkeypatch.setattr(kostka_algebra, "_plain_sum", plain)
+    kostka_algebra._structure_coefficients.cache_clear()
+    for n in range(1, 5):
+        for mu, nu in combinations_with_replacement(partitions_of(n), 2):
+            structure_coefficients_all([mu, nu])
+        qt_catalan(n)
+        nabla(e_elem(P(n)))
+    # an operand with a coefficient foreign to the norms takes it
+    with pytest.raises(AssertionError, match="plain"):
+        macdonald_expansion(s_elem(P(2)) * _FOREIGN)
+
+
+def test_polynomial_coefficients_sharing_norm_factors(monkeypatch):
+    # q - t and q + 1 divide norms, so a weight split against a_eta must
+    # give them back to the denominators they cancel; every sum stays on
+    # the factored path and is reduced as plain arithmetic reduces it
+    from qtsym import kostka_algebra
+
+    def plain(terms):
+        raise AssertionError("plain RationalFunction path taken")
+
+    monkeypatch.setattr(kostka_algebra, "_plain_sum", plain)
+    for a in (rf(q - t), rf((q + 1) * (q - t) ** 2)):
+        for n in range(2, 5):
+            for mu in partitions_of(n):
+                F, G = s_elem(mu), s_elem(P(*(1,) * n))
+                assert repr(kostka_product(F * a, G)) == repr(kostka_product(F, G) * a)
+                want = {eta: c * a for eta, c in macdonald_expansion(F).items()}
+                assert repr(macdonald_expansion(F * a)) == repr(want)
+                assert repr(nabla(F * a)) == repr(nabla(F) * a)
