@@ -49,10 +49,15 @@ A fraction over known irreducible factors, such as a Macdonald norm
 (macdonald.norm_factors), takes no gcd: split_factors, the one trial
 division, splits a polynomial into a cofactor times powers of the
 factors, split_product and split_over multiply such splits and put them
-over the norm, and factored_sum adds them by Henrici's rule.
+over the norm, and factored_sum adds them by Henrici's rule. Every
+factor of binomial_factors has, in each of its indeterminates, a single
+top term with coefficient +-1, so split_factors divides on sparse
+integer rows in such an indeterminate with shifts and subtractions
+only, and raises ValueError for a factor with none; split_counts() tells
+how many of its divisions succeeded and failed.
 
 Values are immutable after construction and safe to share between
-threads; the gcd path counts are process-wide diagnostics.
+threads; the gcd path and split counts are process-wide diagnostics.
 """
 
 from __future__ import annotations
@@ -1478,23 +1483,197 @@ def binomial_factors(x, a, y, b):
     return unit, tuple(factors)
 
 
+# How many row divisions split_factors made; read through split_counts().
+_SPLITS = dict.fromkeys(("divided", "failed"), 0)
+
+
+def split_counts():
+    """Snapshot of split_factors' exact divisions since import: 'divided'
+    by a factor that divides, 'failed' where the factor does not."""
+    return dict(_SPLITS)
+
+
 def split_factors(p, factors):
     """(cofactor, {f: k}) with p = cofactor * prod f^k over the (f, m)
     pairs of factors: each f is divided out of p for as long as it
     divides, at most m times, so where k < m the cofactor is prime to an
-    irreducible f. Zero multiplicities are left out."""
-    mult = {}
-    for f, m in factors:
-        k = 0
-        while k < m:
-            try:
-                p = p.divexact(f)
-            except ValueError:
-                break
-            k += 1
-        if k:
-            mult[f] = k
-    return p, mult
+    irreducible f. Zero multiplicities are left out. The f are distinct
+    irreducible polynomials, so the order in which they are divided out
+    does not change the result.
+
+    Each f must be an integer polynomial with an indeterminate x in which
+    its top power is a single term u * x^D * y^s, u = +-1 and y its other
+    indeterminate, as every factor of binomial_factors has in both; any
+    other f raises ValueError. f then divides p on rows in x over Z[y]
+    with no coefficient division (Knuth, TAOCP vol. 2, 4.6.1): each
+    quotient row is the top row shifted by (-D, -s) times u, the other
+    terms of f are subtracted into the rows below, and the division
+    fails when a y-exponent would fall below s or a row below x^D is
+    left nonzero. p becomes rows once for the factors that divide in the
+    indeterminate chosen for the first one, and once more for each
+    further indeterminate the others need (twice for an engine norm,
+    whose factors in t alone are not +-1-led in q)."""
+    found = {}
+    todo = [(f, m) for f, m in factors if m]
+    while todo:
+        rows, later, divided = None, [], False
+        for f, m in todo:
+            leads = _row_divisors(f)
+            if not leads:
+                raise ValueError("%s is not an integer polynomial led by +-x^D y^s in some x" % f)
+            if rows is None:
+                rows = _Rows(p, leads[0][0], leads[0][1])
+            lead = next((d for d in leads if rows.fits(d)), None)
+            if lead is None:
+                later.append((f, m))
+                continue
+            _, _, top, s, u, tail = lead
+            if rows.m != 1:
+                tail = [(drop, shift * rows.m, w) for drop, shift, w in tail]
+            k = 0
+            while k < m:
+                quo = _rows_divide(rows.rows, top, s * rows.m, u, tail)
+                if quo is None:
+                    _SPLITS["failed"] += 1
+                    break
+                _SPLITS["divided"] += 1
+                rows.rows = quo
+                k += 1
+            if k:
+                found[f] = k
+                divided = True
+        if divided:
+            p = rows.poly()
+        todo = later
+    return p, {f: found[f] for f, _ in factors if f in found}
+
+
+@lru_cache(maxsize=None)
+def _row_divisors(f):
+    """(x, y, D, s, u, tail) for each indeterminate x of f, in which the
+    top power of f is a single term u * x^D * y^s with u = +-1; y is the
+    other indeterminate f has, or None, and tail lists each other term
+    c x^i y^j as (D - i, j - s, -u * c). Empty when f has no such x, has
+    more than two indeterminates or a coefficient that is not an int."""
+    f = f.canonical()
+    if len(f.vars) > 2 or not all(type(c) is int for c in f.terms.values()):
+        return ()
+    out = []
+    for ix, x in enumerate(f.vars):
+        iy = 1 - ix if len(f.vars) == 2 else None
+        top = max(e[ix] for e in f.terms)
+        lead = [(e, c) for e, c in f.terms.items() if e[ix] == top]
+        if len(lead) != 1 or lead[0][1] not in (1, -1):
+            continue
+        (e0, u), = lead
+        s = e0[iy] if iy is not None else 0
+        tail = tuple(
+            (top - e[ix], (e[iy] if iy is not None else 0) - s, -u * c)
+            for e, c in f.terms.items() if e != e0
+        )
+        out.append((x, None if iy is None else f.vars[iy], top, s, u, tail))
+    return tuple(out)
+
+
+class _Rows:
+    """A polynomial as rows in the indeterminate x: rows[i] maps e * m + k
+    to the coefficient of x^i y^e times rest[k], the k-th monomial in the
+    indeterminates other than x and y (m bounds their number, 1 when
+    there are none)."""
+
+    __slots__ = ("vars", "x", "y", "m", "others", "rest", "rows", "ints")
+
+    def __init__(self, p, x, y):
+        self.vars, terms, _ = p._align(Polynomial._raw(tuple(sorted({x, y} - {None}, key=_var_key)), {}))
+        if y is None:
+            # a factor in x alone: take y from p, for the factors in x and y
+            y = next((v for v in self.vars if v != x), None)
+        ix = self.vars.index(x)
+        iy = self.vars.index(y) if y is not None else None
+        self.others = others = [i for i in range(len(self.vars)) if i != ix and i != iy]
+        self.x, self.y = x, y
+        self.m = max(len(terms), 1) if others else 1
+        self.ints = all(type(c) is int for c in terms.values())
+        rows = {}
+        slots = {}
+        for e, c in terms.items():
+            key = e[iy] * self.m if iy is not None else 0
+            if others:
+                key += slots.setdefault(tuple(e[i] for i in others), len(slots))
+            row = rows.get(e[ix])
+            if row is None:
+                rows[e[ix]] = row = {}
+            row[key] = c
+        self.rows = rows
+        self.rest = list(slots)
+
+    def fits(self, lead):
+        """Whether rows in x over Z[y] can be divided by the factor of lead."""
+        return lead[0] == self.x and lead[1] in (None, self.y)
+
+    def poly(self):
+        """The rows as a Polynomial in vars."""
+        vs, m = self.vars, self.m
+        ix = vs.index(self.x)
+        iy = vs.index(self.y) if self.y is not None else None
+        items = self.rows.items()
+        if self.others:
+            terms = {}
+            for i, row in items:
+                for key, c in row.items():
+                    e, k = divmod(key, m)
+                    exps = [0] * len(vs)
+                    exps[ix], exps[iy] = i, e  # y exists whenever others do
+                    for pos, ex in zip(self.others, self.rest[k]):
+                        exps[pos] = ex
+                    terms[tuple(exps)] = c
+        elif iy is None:
+            terms = {(i,): c for i, row in items for c in row.values()}
+        elif ix < iy:
+            terms = {(i, e): c for i, row in items for e, c in row.items()}
+        else:
+            terms = {(e, i): c for i, row in items for e, c in row.items()}
+        if not self.ints:
+            terms = {e: _normc(c) for e, c in terms.items()}
+        return Polynomial._raw(vs, terms)
+
+
+def _rows_divide(rows, top, sm, u, tail):
+    """The rows of p / f, or None when f does not divide p, for
+    f = u * x^top * y^s + tail with u = +-1 and sm = s * m. rows is left
+    as it is: a row is copied before it is first changed."""
+    if not rows:
+        return {}
+    rem = dict(rows)
+    own = set()
+    quo = {}
+    for i in range(max(rem), top - 1, -1):
+        row = rem.pop(i, None)
+        if not row:
+            continue
+        if sm and min(row) < sm:
+            return None
+        if u == 1:
+            quo[i - top] = {key - sm: c for key, c in row.items()} if sm else row
+        else:
+            quo[i - top] = {key - sm: -c for key, c in row.items()}
+        for drop, shift, w in tail:
+            r = i - drop
+            if r in own:
+                target = rem[r]
+            else:
+                target = rem[r] = dict(rem.get(r) or ())
+                own.add(r)
+            for key, c in row.items():
+                key += shift
+                v = target.get(key, 0) + c * w
+                if v:
+                    target[key] = v
+                else:
+                    del target[key]
+    if any(rem.values()):
+        return None
+    return quo
 
 
 def split_product(x, y):

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from .coeffring import HookField, PoleError, Polynomial, gcd_path_counts, rf
+from .coeffring import HookField, PoleError, Polynomial, gcd_path_counts, rf, split_counts
 from .kernel import (
     cauchy_series,
     kernel,
@@ -418,12 +418,19 @@ SUITES = {
 }
 
 
+def _count_changes(before, after):
+    """'name=n ...' with how much each counter rose from before to after."""
+    return " ".join("%s=%d" % (k, n - before[k]) for k, n in after.items())
+
+
 def run_suite(suite, max_n=None, writer=print):
     """Run a named suite; returns True when every check passed.
 
     After each criterion that runs, writes a line 'TIME  [n:label] x.xs'
     with its wall time, then 'GCD  [n:label] trivial=.. univariate=..
-    bivariate=.. prs=..' with the paths of the gcds it took."""
+    bivariate=.. prs=..' with the paths of the gcds it took, then
+    'SPLIT  [n:label] divided=.. failed=..' with the trial divisions of
+    coeffring.split_factors it made."""
     if suite not in SUITES:
         raise ValueError("unknown suite %r (choose from %s)" % (suite, sorted(SUITES)))
     all_ok = True
@@ -435,9 +442,11 @@ def run_suite(suite, max_n=None, writer=print):
             continue
         start = time.perf_counter()
         before = gcd_path_counts()
+        splits_before = split_counts()
         results = func(max_n=cap)
         elapsed = time.perf_counter() - start
-        paths = " ".join("%s=%d" % (k, n - before[k]) for k, n in gcd_path_counts().items())
+        paths = _count_changes(before, gcd_path_counts())
+        splits = _count_changes(splits_before, split_counts())
         for name, ok, detail in results:
             status = "PASS" if ok else "FAIL"
             line = "%s  [%d:%s] %s" % (status, number, label, name)
@@ -447,4 +456,5 @@ def run_suite(suite, max_n=None, writer=print):
             all_ok = all_ok and ok
         writer("TIME  [%d:%s] %.1fs" % (number, label, elapsed))
         writer("GCD  [%d:%s] %s" % (number, label, paths))
+        writer("SPLIT  [%d:%s] %s" % (number, label, splits))
     return all_ok

@@ -261,3 +261,9 @@ def test_verify_subcommand(capsys):
         for i, line in enumerate(lines) if line.startswith("TIME")
     ]
     assert counted == timed
+    # and by the counts of the trial divisions of coeffring.split_factors
+    split = [
+        re.fullmatch(r"SPLIT  \[(\d+):[^\]]+\] divided=\d+ failed=\d+", lines[i + 2]).group(1)
+        for i, line in enumerate(lines) if line.startswith("TIME")
+    ]
+    assert split == timed

@@ -26,7 +26,8 @@ from qtsym.coeffring import (
     split_factors,
     split_over,
 )
-from qtsym.macdonald import norm_factors, norm_product
+from qtsym.kernel import _htilde_splits, _norm_zw
+from qtsym.macdonald import build_table, norm_factors, norm_product
 from qtsym.partitions import partitions_of
 
 q = Polynomial.var("q")
@@ -222,6 +223,111 @@ def test_split_over_norm_matches_gcd_reduction(case):
     want = RationalFunction(num, norm_product(eta))
     assert got == want
     assert repr(got) == repr(want)
+
+
+def _divexact_split(p, factors):
+    """The slow reference for split_factors: repeated Polynomial.divexact."""
+    mult = {}
+    for f, m in factors:
+        k = 0
+        while k < m:
+            try:
+                p = p.divexact(f)
+            except ValueError:
+                break
+            k += 1
+        if k:
+            mult[f] = k
+    return p, mult
+
+
+# Factors in q and t, and in q or t alone (such as t - 1 named over (q, t)).
+_BINOMIAL_FACTORS = sorted(
+    {f for a in range(4) for b in range(4) if a or b for f in binomial_factors("q", a, "t", b)[1]},
+    key=repr,
+)
+
+
+@st.composite
+def _split_cases(draw):
+    """p times powers of distinct binomial factors, some above the cap m
+    and some 0, in an order that may put a factor in q or in t first, so
+    the rows run in either indeterminate."""
+    p = draw(small_polys)
+    factors = []
+    for f in draw(st.permutations(_BINOMIAL_FACTORS))[: draw(st.integers(0, 5))]:
+        m = draw(st.integers(1, 3))
+        p = p * f ** draw(st.integers(0, m + 1))
+        factors.append((f, m))
+    return p, factors
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_cases())
+@example((q**2 + 1, [(q - 1, 2), (t - 1, 1), (q - t, 1)]))
+@example((q * (t - 1) ** 2 * (q**2 + q * t + t**2), [(t - 1, 1), (q**2 + q * t + t**2, 2), (q - 1, 1)]))
+# an indeterminate no factor has, and Fraction coefficients
+@example((Polynomial.var("s") * (q - t) ** 2 * (q * Polynomial.var("s") + 2), [(t - 1, 1), (q - t, 3)]))
+@example(((q - 1) * (t - 1) * (q.scale(Fraction(1, 2)) + t), [(q - 1, 1), (t - 1, 2)]))
+def test_split_factors_matches_repeated_divexact(case):
+    p, factors = case
+    cofactor, mult = split_factors(p, factors)
+    assert (cofactor, mult) == _divexact_split(p, factors)
+    assert list(mult) == [f for f, _ in factors if f in mult]
+    product = cofactor
+    for f, k in mult.items():
+        product = product * f**k
+    assert product == p
+
+
+def test_split_factors_needs_a_plus_minus_one_led_indeterminate():
+    f = 2 * q**2 + 3 * q * t + 2 * t**2
+    with pytest.raises(ValueError):
+        split_factors(q * f, [(f, 1)])
+    # the division never looks for a coefficient quotient: the top term of
+    # 2q - 1 in q is 2q, and it has no other indeterminate
+    with pytest.raises(ValueError):
+        split_factors(2 * q - 1, [(2 * q - 1, 1)])
+
+
+def _unit_led(f, name):
+    """Whether f has a single top term in name, with coefficient +-1."""
+    i = f.vars.index(name)
+    top = max(e[i] for e in f.terms)
+    lead = [c for e, c in f.terms.items() if e[i] == top]
+    return top > 0 and lead in ([1], [-1])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_norm_factors_have_a_unit_led_indeterminate(n):
+    # split_factors divides on integer rows in such an indeterminate
+    for lam in partitions_of(n):
+        for f, _ in norm_factors(lam)[1] + _norm_zw(lam)[1]:
+            assert any(_unit_led(f, name) for name in f.vars), f
+
+
+def test_engine_splits_never_reach_the_generic_division(monkeypatch):
+    table = build_table(4)
+    cases = []
+    for eta in table.partitions:
+        norm = RationalFunction(norm_product(eta))
+        for lam in table.partitions:
+            entry = table.kostka_inverse_entry(eta, lam)
+            if entry:
+                cases.append(((entry * norm).prim, norm_factors(eta)[1]))
+    _htilde_splits(3)  # fills the memos of the table and the (Z, W) norms
+
+    def generic(self, other):
+        raise AssertionError("split_factors reached Polynomial.divexact")
+
+    monkeypatch.setattr(Polynomial, "divexact", generic)
+    for prim, factors in cases:
+        cofactor, mult = split_factors(prim, factors)
+        for f, k in mult.items():
+            cofactor = cofactor * f**k
+        assert cofactor == prim
+    _htilde_splits.cache_clear()
+    assert _htilde_splits(3)
 
 
 _ZW_FACTORS = sorted(
