@@ -49,12 +49,15 @@ A fraction over known irreducible factors, such as a Macdonald norm
 (macdonald.norm_factors), takes no gcd: split_factors, the one trial
 division, splits a polynomial into a cofactor times powers of the
 factors, split_product and split_over multiply such splits and put them
-over the norm, and factored_sum adds them by Henrici's rule. Every
-factor of binomial_factors has, in each of its indeterminates, a single
-top term with coefficient +-1, so split_factors divides on sparse
-integer rows in such an indeterminate with shifts and subtractions
-only, and raises ValueError for a factor with none; split_counts() tells
-how many of its divisions succeeded and failed.
+over the norm, and factored_sum adds them by Henrici's rule.
+split_factors turns the polynomial once into sparse integer rows in x
+over Z[y], x the first of its at most two indeterminates, the same rows
+Brown's gcd uses, and divides every factor there. The top power x^D of
+each factor of binomial_factors has a coefficient in y whose top
+coefficient is +-1 (one term, or Phi_d(y) for a factor in y alone), so
+no step divides a coefficient; a factor without one, or a third
+indeterminate, raises ValueError. split_counts() tells how many of its
+divisions succeeded and failed.
 
 Values are immutable after construction and safe to share between
 threads; the gcd path and split counts are process-wide diagnostics.
@@ -780,34 +783,62 @@ def _rows_quo(A, G):
 
 
 def _split_rows(p, x, y):
-    """(c, rows) with p = c * sum rows[i](y) x^i and the rows integer
-    lists: c is 1 when p has integer coefficients, and otherwise 1 over
-    the lcm of their denominators."""
+    """(c, rows) with p = c * sum of k x^i y^j over the rows {i: {j: k}}:
+    the k are nonzero ints, and c is 1 when p has integer coefficients
+    and otherwise 1 over the lcm of their denominators. p uses no
+    indeterminate but x and y (y None when there is no second one), in
+    either order."""
     den = 1
-    ints = True
     for k in p.terms.values():
         if type(k) is not int:
-            ints = False
             den = _int_lcm(den, k.denominator)
-    c = 1 if den == 1 else Fraction(1, den)
-    terms = p.terms if ints else {e: int(k * den) for e, k in p.terms.items()}
-    if p.vars == (x, y):
+    terms = p.terms if den == 1 else {e: int(k * den) for e, k in p.terms.items()}
+    vs = p.vars
+    if vs == (x, y):
         pairs = terms.items()
-    elif p.vars == (y, x):
-        pairs = (((i, j), k) for (j, i), k in terms.items())
-    elif p.vars == (x,):
-        pairs = (((i, 0), k) for (i,), k in terms.items())
     else:
-        pairs = (((0, j), k) for (j,), k in terms.items())
-    by_x = {}
+        ix, iy = (vs.index(v) if v in vs else None for v in (x, y))
+        pairs = (
+            ((e[ix] if ix is not None else 0, e[iy] if iy is not None else 0), k)
+            for e, k in terms.items()
+        )
+    rows = {}
     for (i, j), k in pairs:
-        by_x.setdefault(i, {})[j] = k
-    rows = [[] for _ in range(max(by_x) + 1)]
-    for i, row in by_x.items():
-        r = rows[i] = [0] * (max(row) + 1)
+        row = rows.get(i)
+        if row is None:
+            rows[i] = row = {}
+        row[j] = k
+    return (1 if den == 1 else Fraction(1, den)), rows
+
+
+def _rows_poly(rows, x, y, scale=1):
+    """scale * the sum of c x^i y^j over the rows {i: {j: c}}, c nonzero,
+    in the indeterminates it uses: the inverse of _split_rows."""
+    if y is None:
+        vs, terms = (x,), {(i,): c for i, row in rows.items() for c in row.values()}
+    elif _var_key(x) < _var_key(y):
+        vs, terms = (x, y), {(i, j): c for i, row in rows.items() for j, c in row.items()}
+    else:
+        vs, terms = (y, x), {(j, i): c for i, row in rows.items() for j, c in row.items()}
+    if scale != 1:
+        terms = {e: _normc(c * scale) for e, c in terms.items()}
+    return Polynomial._raw(vs, terms).canonical()
+
+
+def _dense_rows(rows):
+    """Sparse rows {i: {j: k}} as a list over i of integer lists over j."""
+    out = [[] for _ in range(max(rows) + 1)]
+    for i, row in rows.items():
+        r = out[i] = [0] * (max(row) + 1)
         for j, k in row.items():
             r[j] = k
-    return c, rows
+    return out
+
+
+def _dense_poly(rows, x, y, scale=1):
+    """_rows_poly of dense integer rows."""
+    sparse = {i: {j: c for j, c in enumerate(r) if c} for i, r in enumerate(rows)}
+    return _rows_poly(sparse, x, y, scale)
 
 
 def _rows_primitive(A):
@@ -819,21 +850,6 @@ def _rows_primitive(A):
             if len(cont) == 1:
                 return [1], A
     return cont, [_intlist_quo(r, cont) if r else r for r in A]
-
-
-def _rows_poly(rows, x, y, scale=1):
-    """scale * sum over i of rows[i](y) * x^i, in the indeterminates it uses."""
-    scale = _normc(scale)
-    terms = {}
-    for i, r in enumerate(rows):
-        for j, c in enumerate(r):
-            if c:
-                terms[(i, j)] = c * scale if type(scale) is int else _normc(c * scale)
-    if y is None:
-        return Polynomial._raw((x,), {(i,): c for (i, _), c in terms.items()})
-    if _var_key(y) < _var_key(x):
-        return Polynomial._raw((y, x), {(j, i): c for (i, j), c in terms.items()}).canonical()
-    return Polynomial._raw((x, y), terms).canonical()
 
 
 def _brown_gcd(a, b, names):
@@ -859,8 +875,8 @@ def _brown_gcd(a, b, names):
         x = names[0] if y == names[1] else names[1]
     ka, A = _split_rows(a, x, y)
     kb, B = _split_rows(b, x, y)
-    ca, A = _rows_primitive(A)
-    cb, B = _rows_primitive(B)
+    ca, A = _rows_primitive(_dense_rows(A))
+    cb, B = _rows_primitive(_dense_rows(B))
     gc = _intlist_gcd(ca, cb)
     if len(A) == 1 or len(B) == 1:
         G, QA, QB = [[1]], A, B
@@ -868,15 +884,15 @@ def _brown_gcd(a, b, names):
         G, QA, QB = _interpolated_gcd(A, B)
     if G == [[1]] and gc == [1]:
         return P_ONE, a, b
-    g = _rows_poly([_intlist_mul(gc, r) for r in G], x, y)
+    g = _dense_poly([_intlist_mul(gc, r) for r in G], x, y)
     if g.leading()[1] < 0:
         g, ka, kb = -g, -ka, -kb
     ca = _intlist_quo(ca, gc)
     cb = _intlist_quo(cb, gc)
     return (
         g,
-        _rows_poly([_intlist_mul(ca, r) for r in QA], x, y, ka),
-        _rows_poly([_intlist_mul(cb, r) for r in QB], x, y, kb),
+        _dense_poly([_intlist_mul(ca, r) for r in QA], x, y, ka),
+        _dense_poly([_intlist_mul(cb, r) for r in QB], x, y, kb),
     )
 
 
@@ -1501,147 +1517,76 @@ def split_factors(p, factors):
     irreducible polynomials, so the order in which they are divided out
     does not change the result.
 
-    Each f must be an integer polynomial with an indeterminate x in which
-    its top power is a single term u * x^D * y^s, u = +-1 and y its other
-    indeterminate, as every factor of binomial_factors has in both; any
-    other f raises ValueError. f then divides p on rows in x over Z[y]
-    with no coefficient division (Knuth, TAOCP vol. 2, 4.6.1): each
-    quotient row is the top row shifted by (-D, -s) times u, the other
-    terms of f are subtracted into the rows below, and the division
-    fails when a y-exponent would fall below s or a row below x^D is
-    left nonzero. p becomes rows once for the factors that divide in the
-    indeterminate chosen for the first one, and once more for each
-    further indeterminate the others need (twice for an engine norm,
-    whose factors in t alone are not +-1-led in q)."""
-    found = {}
+    p and the f use at most two indeterminates together, x the first of
+    them in the package order and y the other; a third raises
+    ValueError. p becomes rows in x over Z[y] once, and every f divides
+    there (Knuth, TAOCP vol. 2, 4.6.1). Each f must be an integer
+    polynomial whose top power x^D has a coefficient c(y) with top
+    coefficient +-1, as every factor of binomial_factors has: c(y) is
+    one term for a factor in x, and Phi_d(y), with D = 0, for one in y
+    alone. Any other f raises ValueError. Each quotient row is the top
+    remainder row divided by c(y), a shift when c(y) is one term and
+    otherwise a division with no coefficient division, and the other
+    rows of f times it are subtracted from the rows below. The division
+    fails when a row does not divide or a row below x^D is left
+    nonzero."""
     todo = [(f, m) for f, m in factors if m]
-    while todo:
-        rows, later, divided = None, [], False
-        for f, m in todo:
-            leads = _row_divisors(f)
-            if not leads:
-                raise ValueError("%s is not an integer polynomial led by +-x^D y^s in some x" % f)
-            if rows is None:
-                rows = _Rows(p, leads[0][0], leads[0][1])
-            lead = next((d for d in leads if rows.fits(d)), None)
-            if lead is None:
-                later.append((f, m))
-                continue
-            _, _, top, s, u, tail = lead
-            if rows.m != 1:
-                tail = [(drop, shift * rows.m, w) for drop, shift, w in tail]
-            k = 0
-            while k < m:
-                quo = _rows_divide(rows.rows, top, s * rows.m, u, tail)
-                if quo is None:
-                    _SPLITS["failed"] += 1
-                    break
-                _SPLITS["divided"] += 1
-                rows.rows = quo
-                k += 1
-            if k:
-                found[f] = k
-                divided = True
-        if divided:
-            p = rows.poly()
-        todo = later
-    return p, {f: found[f] for f, _ in factors if f in found}
+    if not todo:
+        return p, {}
+    p = p.canonical()
+    names = set(p.vars).union(*(_indeterminates(f) for f, _ in todo))
+    if len(names) > 2:
+        raise ValueError("more than two indeterminates: %s" % ", ".join(sorted(names)))
+    x, y = (sorted(names, key=_var_key) + [None, None])[:2]
+    scale, rows = _split_rows(p, x, y)
+    found = {}
+    for f, m in todo:
+        divisor = _row_divisor(f, x, y)
+        if divisor is None:
+            raise ValueError("%s is not an integer polynomial +-1-led in %s over %s" % (f, x, y))
+        k = 0
+        while k < m:
+            quo = _rows_divide(rows, *divisor)
+            if quo is None:
+                _SPLITS["failed"] += 1
+                break
+            _SPLITS["divided"] += 1
+            rows = quo
+            k += 1
+        if k:
+            found[f] = k
+    if found:
+        p = _rows_poly(rows, x, y, scale)
+    return p, found
 
 
 @lru_cache(maxsize=None)
-def _row_divisors(f):
-    """(x, y, D, s, u, tail) for each indeterminate x of f, in which the
-    top power of f is a single term u * x^D * y^s with u = +-1; y is the
-    other indeterminate f has, or None, and tail lists each other term
-    c x^i y^j as (D - i, j - s, -u * c). Empty when f has no such x, has
-    more than two indeterminates or a coefficient that is not an int."""
-    f = f.canonical()
-    if len(f.vars) > 2 or not all(type(c) is int for c in f.terms.values()):
-        return ()
-    out = []
-    for ix, x in enumerate(f.vars):
-        iy = 1 - ix if len(f.vars) == 2 else None
-        top = max(e[ix] for e in f.terms)
-        lead = [(e, c) for e, c in f.terms.items() if e[ix] == top]
-        if len(lead) != 1 or lead[0][1] not in (1, -1):
-            continue
-        (e0, u), = lead
-        s = e0[iy] if iy is not None else 0
-        tail = tuple(
-            (top - e[ix], (e[iy] if iy is not None else 0) - s, -u * c)
-            for e, c in f.terms.items() if e != e0
-        )
-        out.append((x, None if iy is None else f.vars[iy], top, s, u, tail))
-    return tuple(out)
+def _indeterminates(f):
+    """The indeterminates the factor f uses."""
+    return f.canonical().vars
 
 
-class _Rows:
-    """A polynomial as rows in the indeterminate x: rows[i] maps e * m + k
-    to the coefficient of x^i y^e times rest[k], the k-th monomial in the
-    indeterminates other than x and y (m bounds their number, 1 when
-    there are none)."""
-
-    __slots__ = ("vars", "x", "y", "m", "others", "rest", "rows", "ints")
-
-    def __init__(self, p, x, y):
-        self.vars, terms, _ = p._align(Polynomial._raw(tuple(sorted({x, y} - {None}, key=_var_key)), {}))
-        if y is None:
-            # a factor in x alone: take y from p, for the factors in x and y
-            y = next((v for v in self.vars if v != x), None)
-        ix = self.vars.index(x)
-        iy = self.vars.index(y) if y is not None else None
-        self.others = others = [i for i in range(len(self.vars)) if i != ix and i != iy]
-        self.x, self.y = x, y
-        self.m = max(len(terms), 1) if others else 1
-        self.ints = all(type(c) is int for c in terms.values())
-        rows = {}
-        slots = {}
-        for e, c in terms.items():
-            key = e[iy] * self.m if iy is not None else 0
-            if others:
-                key += slots.setdefault(tuple(e[i] for i in others), len(slots))
-            row = rows.get(e[ix])
-            if row is None:
-                rows[e[ix]] = row = {}
-            row[key] = c
-        self.rows = rows
-        self.rest = list(slots)
-
-    def fits(self, lead):
-        """Whether rows in x over Z[y] can be divided by the factor of lead."""
-        return lead[0] == self.x and lead[1] in (None, self.y)
-
-    def poly(self):
-        """The rows as a Polynomial in vars."""
-        vs, m = self.vars, self.m
-        ix = vs.index(self.x)
-        iy = vs.index(self.y) if self.y is not None else None
-        items = self.rows.items()
-        if self.others:
-            terms = {}
-            for i, row in items:
-                for key, c in row.items():
-                    e, k = divmod(key, m)
-                    exps = [0] * len(vs)
-                    exps[ix], exps[iy] = i, e  # y exists whenever others do
-                    for pos, ex in zip(self.others, self.rest[k]):
-                        exps[pos] = ex
-                    terms[tuple(exps)] = c
-        elif iy is None:
-            terms = {(i,): c for i, row in items for c in row.values()}
-        elif ix < iy:
-            terms = {(i, e): c for i, row in items for e, c in row.items()}
-        else:
-            terms = {(e, i): c for i, row in items for e, c in row.items()}
-        if not self.ints:
-            terms = {e: _normc(c) for e, c in terms.items()}
-        return Polynomial._raw(vs, terms)
+@lru_cache(maxsize=None)
+def _row_divisor(f, x, y):
+    """(D, s, u, low, rest) for dividing by f on rows in x over Z[y]: the
+    top power of f in x is x^D, its coefficient is u y^s plus c y^j over
+    the (j, c) of low, and rest lists each other term c x^i y^j of f as
+    (D - i, j, c). None unless f has int coefficients and u = +-1."""
+    scale, rows = _split_rows(f.canonical(), x, y)
+    top = max(rows)
+    low = dict(rows.pop(top))
+    s = max(low)
+    u = low.pop(s)
+    if scale != 1 or u not in (1, -1):
+        return None
+    rest = tuple((top - i, j, c) for i, row in rows.items() for j, c in row.items())
+    return top, s, u, tuple(low.items()), rest
 
 
-def _rows_divide(rows, top, sm, u, tail):
-    """The rows of p / f, or None when f does not divide p, for
-    f = u * x^top * y^s + tail with u = +-1 and sm = s * m. rows is left
-    as it is: a row is copied before it is first changed."""
+def _rows_divide(rows, top, s, u, low, rest):
+    """The rows of p / f, or None when f does not divide p, for the f of
+    _row_divisor(f, x, y) = (top, s, u, low, rest). rows is left as it
+    is: a row is copied before it is first changed."""
     if not rows:
         return {}
     rem = dict(rows)
@@ -1651,22 +1596,25 @@ def _rows_divide(rows, top, sm, u, tail):
         row = rem.pop(i, None)
         if not row:
             continue
-        if sm and min(row) < sm:
-            return None
-        if u == 1:
-            quo[i - top] = {key - sm: c for key, c in row.items()} if sm else row
-        else:
-            quo[i - top] = {key - sm: -c for key, c in row.items()}
-        for drop, shift, w in tail:
+        if low:
+            row = _row_quo(row, s, u, low)
+            if row is None:
+                return None
+        elif s or u != 1:
+            if min(row) < s:
+                return None
+            row = {key - s: c * u for key, c in row.items()}
+        quo[i - top] = row
+        for drop, j, c in rest:
             r = i - drop
             if r in own:
                 target = rem[r]
             else:
                 target = rem[r] = dict(rem.get(r) or ())
                 own.add(r)
-            for key, c in row.items():
-                key += shift
-                v = target.get(key, 0) + c * w
+            for key, v in row.items():
+                key += j
+                v = target.get(key, 0) - v * c
                 if v:
                     target[key] = v
                 else:
@@ -1674,6 +1622,22 @@ def _rows_divide(rows, top, sm, u, tail):
     if any(rem.values()):
         return None
     return quo
+
+
+def _row_quo(row, s, u, low):
+    """The row {j: c} divided by u y^s + sum of c y^j over the (j, c) of
+    low, u = +-1, or None when it does not divide."""
+    rem = [0] * (max(row) + 1)
+    for j, c in row.items():
+        rem[j] = c
+    quo = {}
+    for j in range(len(rem) - 1, s - 1, -1):
+        c = rem[j]
+        if c:
+            quo[j - s] = c = c * u
+            for jl, cl in low:
+                rem[j - s + jl] -= c * cl
+    return None if any(rem[:s]) else quo
 
 
 def split_product(x, y):
@@ -1842,6 +1806,9 @@ class HookField:
         return self.base == other.base and self.odd == other.odd
 
     def __hash__(self):
+        # an element with no eps part equals its base, so it hashes as one
+        if self.odd.is_zero():
+            return hash(self.base)
         return hash((self.base, self.odd))
 
     def raise_exponents(self, n):

@@ -12,10 +12,10 @@ the norm a_eta, whose irreducible factors are known
 (macdonald.norm_factors). One routine, _macdonald_sum, adds each such
 sum as the Cauchy series is added (kernel._cauchy_component), with no
 gcd; a sum with a denominator a_eta does not account for, as from an
-operand with rational coefficients, takes plain RationalFunction
-arithmetic. Every operation reads the registered table of its degree
-(macdonald.build_table); a table built elsewhere goes in through
-macdonald.register_table.
+operand with rational coefficients, and a sum with an operand outside
+Q(q,t) take plain RationalFunction arithmetic. Every operation reads
+the registered table of its degree (macdonald.build_table); a table
+built elsewhere goes in through macdonald.register_table.
 
 The adjoint operators psi_F are diagonal in the Macdonald basis; with
 F = e_n this is the nabla operator of Bergeron and Garsia, whose pairing
@@ -94,8 +94,9 @@ def _inverse_kostka_sum(weights, table):
 
 def _macdonald_sum(terms):
     """The sum of x * prod(ws) over the (eta, x, ws) terms of
-    RationalFunctions; _plain_sum unless every x has a denominator that
-    divides a_eta and every weight factor is a polynomial.
+    RationalFunctions; _plain_sum unless every x and weight factor lies
+    in Q(q,t), every x has a denominator that divides a_eta and every
+    weight factor is a polynomial.
 
     With a_eta = unit * prod f^m, such an x = s * prim / prod f^d is the
     split (s * unit, prim, {f: m - d}) times 1 / a_eta, with no trial
@@ -104,6 +105,8 @@ def _macdonald_sum(terms):
     terms = [(eta, x, ws) for eta, x, ws in terms if x and all(ws)]
     out = []
     for eta, x, ws in terms:
+        if not all({"q", "t"}.issuperset(c.prim.vars + c.den.vars) for c in (x, *ws)):
+            return _plain_sum(terms)
         rest, deficit = _norm_split(x.den, eta)
         if rest != P_ONE or not all(w.is_polynomial() for w in ws):
             return _plain_sum(terms)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,14 @@ def test_hookfield_relations():
     assert sq == HookField(rf(Z), rf(1)).__class__(rf(Z + W), rf(-2))
 
 
+def test_hookfield_hash_agrees_with_equality():
+    assert HookField(rf(2)) == rf(2)
+    assert len({rf(2), HookField(rf(2))}) == 1
+    for base in (rf(0), rf(Z), rf(1) / rf(Z - W)):
+        assert hash(HookField(base)) == hash(base)
+    assert HookField(rf(Z), rf(1)) != rf(Z)
+
+
 def test_hookfield_adams_and_specialize():
     x = HookField(rf(Z), rf(1))  # Z + eps
     sq = x.raise_exponents(2)  # Z^2 + eps^2 = Z^2 + ZW
@@ -266,9 +275,13 @@ def _split_cases(draw):
 @given(_split_cases())
 @example((q**2 + 1, [(q - 1, 2), (t - 1, 1), (q - t, 1)]))
 @example((q * (t - 1) ** 2 * (q**2 + q * t + t**2), [(t - 1, 1), (q**2 + q * t + t**2, 2), (q - 1, 1)]))
-# an indeterminate no factor has, and Fraction coefficients
-@example((Polynomial.var("s") * (q - t) ** 2 * (q * Polynomial.var("s") + 2), [(t - 1, 1), (q - t, 3)]))
+# Fraction coefficients
 @example(((q - 1) * (t - 1) * (q.scale(Fraction(1, 2)) + t), [(q - 1, 1), (t - 1, 2)]))
+# top coefficients in q of several terms: each row divides by t^2 + t + 1,
+# by t + 1 and by 1 - t, whose top coefficient in t is -1
+@example(((q**2 + t) * (t**2 + t + 1) ** 2 * (q - t), [(t**2 + t + 1, 3), (q - t, 1)]))
+@example(((q * t + 2) * ((t + 1) * q + 1) ** 2, [((t + 1) * q + 1, 3)]))
+@example(((q + t**3) * ((1 - t) * q + t) ** 2 * (t**2 + t + 1), [((1 - t) * q + t, 2), (t**2 + t + 1, 2)]))
 def test_split_factors_matches_repeated_divexact(case):
     p, factors = case
     cofactor, mult = split_factors(p, factors)
@@ -285,29 +298,42 @@ def test_split_factors_needs_a_plus_minus_one_led_indeterminate():
     with pytest.raises(ValueError):
         split_factors(q * f, [(f, 1)])
     # the division never looks for a coefficient quotient: the top term of
-    # 2q - 1 in q is 2q, and it has no other indeterminate
+    # 2q - 1 in q is 2q, and the top coefficient in t of 2t^2 q + 1 is 2
     with pytest.raises(ValueError):
         split_factors(2 * q - 1, [(2 * q - 1, 1)])
+    with pytest.raises(ValueError):
+        split_factors(q, [(2 * t**2 * q + 1, 1)])
+    # p and the factors take at most two indeterminates together
+    s = Polynomial.var("s")
+    with pytest.raises(ValueError):
+        split_factors(s * (q - t) ** 2 * (q * s + 2), [(t - 1, 1), (q - t, 3)])
+    with pytest.raises(ValueError):
+        split_factors(q - t, [(q - t, 1), (s - 1, 1)])
 
 
-def _unit_led(f, name):
-    """Whether f has a single top term in name, with coefficient +-1."""
-    i = f.vars.index(name)
-    top = max(e[i] for e in f.terms)
-    lead = [c for e, c in f.terms.items() if e[i] == top]
-    return top > 0 and lead in ([1], [-1])
+def _lead_of_top(f, x, y):
+    """The top coefficient in y of the coefficient of the top power of x in f."""
+    exps = [(dict(zip(f.vars, e)), c) for e, c in f.terms.items()]
+    top = max(d.get(x, 0) for d, _ in exps)
+    row = {d.get(y, 0): c for d, c in exps if d.get(x, 0) == top}
+    return row[max(row)]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_norm_factors_have_a_unit_led_indeterminate(n):
-    # split_factors divides on integer rows in such an indeterminate
+    # split_factors divides on rows in q (Z) over Z[t] (Z[W]): the top
+    # power of every factor in q has a coefficient with top term +-t^s
     for lam in partitions_of(n):
-        for f, _ in norm_factors(lam)[1] + _norm_zw(lam)[1]:
-            assert any(_unit_led(f, name) for name in f.vars), f
+        for f, _ in norm_factors(lam)[1]:
+            assert _lead_of_top(f, "q", "t") in (1, -1), f
+        for f, _ in _norm_zw(lam)[1]:
+            assert _lead_of_top(f, "Z", "W") in (1, -1), f
 
 
-def test_engine_splits_never_reach_the_generic_division(monkeypatch):
-    table = build_table(4)
+def _inverse_kostka_numerators(n):
+    """(numerator, factors of a_eta) of every nonzero K~^-1[eta, lam] for
+    lam, eta of n, the splits macdonald.finish_table makes."""
+    table = build_table(n)
     cases = []
     for eta in table.partitions:
         norm = RationalFunction(norm_product(eta))
@@ -315,6 +341,11 @@ def test_engine_splits_never_reach_the_generic_division(monkeypatch):
             entry = table.kostka_inverse_entry(eta, lam)
             if entry:
                 cases.append(((entry * norm).prim, norm_factors(eta)[1]))
+    return cases
+
+
+def test_engine_splits_never_reach_the_generic_division(monkeypatch):
+    cases = _inverse_kostka_numerators(4)
     _htilde_splits(3)  # fills the memos of the table and the (Z, W) norms
 
     def generic(self, other):
@@ -328,6 +359,34 @@ def test_engine_splits_never_reach_the_generic_division(monkeypatch):
         assert cofactor == prim
     _htilde_splits.cache_clear()
     assert _htilde_splits(3)
+
+
+def test_engine_splits_turn_p_into_rows_once(monkeypatch):
+    # every factor of an engine norm divides in the one orientation, so a
+    # split converts p to rows once (the factors' rows are memoized)
+    cases = _inverse_kostka_numerators(4)
+    for prim, factors in cases:
+        split_factors(prim, factors)
+    _htilde_splits(3)
+    conversions = []
+    to_rows, split = coeffring._split_rows, coeffring.split_factors
+
+    def counted_rows(p, x, y):
+        conversions[-1] += 1
+        return to_rows(p, x, y)
+
+    def counted_split(p, factors):
+        conversions.append(0)
+        return split(p, factors)
+
+    monkeypatch.setattr(coeffring, "_split_rows", counted_rows)
+    monkeypatch.setattr(sys.modules["qtsym.kernel"], "split_factors", counted_split)
+    for prim, factors in cases:
+        counted_split(prim, factors)
+    _htilde_splits.cache_clear()
+    _htilde_splits(3)
+    assert len(conversions) > len(cases)
+    assert conversions == [1] * len(conversions)
 
 
 _ZW_FACTORS = sorted(

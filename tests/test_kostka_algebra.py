@@ -346,6 +346,8 @@ def _ref_garsia_haiman_sum(n, table):
 
 _SHARED = rf(1) / rf(q - t)  # q - t divides the norms from degree 2 on
 _FOREIGN = rf(1) / rf(q * t + 1)  # divides no norm
+_U = Polynomial.var("u")
+_THIRD = rf(_U + q) / rf(_U * q + 1)  # outside Q(q,t)
 
 
 def _operands(n):
@@ -402,6 +404,19 @@ def test_operands_with_rational_coefficients():
             assert nabla(F * a) == nabla(F) * a
 
 
+def test_operands_in_a_third_indeterminate():
+    a = _THIRD
+    for n in range(2, 5):
+        for mu in partitions_of(n):
+            F = s_elem(mu)
+            G = s_elem(P(*(1,) * n))
+            assert macdonald_expansion(F * a) == {
+                eta: c * a for eta, c in macdonald_expansion(F).items()
+            }
+            assert kostka_product(F * a, G) == kostka_product(F, G) * a
+            assert nabla(F * a) == nabla(F) * a
+
+
 def test_tables_algebra_queries_stay_on_the_factored_path(monkeypatch):
     # the benchmark's Kostka-algebra queries: every pair at n <= 4, the
     # q,t-Catalan numbers and nabla(e_n); none may need plain arithmetic
@@ -417,9 +432,11 @@ def test_tables_algebra_queries_stay_on_the_factored_path(monkeypatch):
             structure_coefficients_all([mu, nu])
         qt_catalan(n)
         nabla(e_elem(P(n)))
-    # an operand with a coefficient foreign to the norms takes it
-    with pytest.raises(AssertionError, match="plain"):
-        macdonald_expansion(s_elem(P(2)) * _FOREIGN)
+    # an operand with a coefficient foreign to the norms, or outside
+    # Q(q,t), takes it
+    for a in (_FOREIGN, _THIRD):
+        with pytest.raises(AssertionError, match="plain"):
+            macdonald_expansion(s_elem(P(2)) * a)
 
 
 def test_polynomial_coefficients_sharing_norm_factors(monkeypatch):
