@@ -322,8 +322,7 @@ class Polynomial:
 
     def __hash__(self):
         if self._hash is None:
-            c = self.canonical()
-            self._hash = hash((c.vars, frozenset(c.terms.items())))
+            self._hash = _hash_scaled(self)
         return self._hash
 
     # -- graded-lex structure ---------------------------------------------
@@ -584,6 +583,20 @@ class Polynomial:
 
 P_ZERO = Polynomial.const(0)
 P_ONE = Polynomial.const(1)
+
+
+def _hash_scaled(p, s=1):
+    """The hash of the polynomial s * p, read off p: a constant hashes as
+    its value, any other polynomial as its support and the reduced
+    numerator and denominator of its coefficient at the lexicographically
+    largest exponent, so no product and no Fraction is formed."""
+    c = p.canonical()
+    if not c.vars:
+        return hash(s * c.terms.get((), 0))
+    k = c.terms[max(c.terms)]
+    n, d = s.numerator * k.numerator, s.denominator * k.denominator
+    g = _int_gcd(n, d)
+    return hash((c.vars, frozenset(c.terms), n // g, d // g))
 
 
 def _power(base, n, one):
@@ -1242,7 +1255,11 @@ class RationalFunction:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.scalar, self.prim, self.den))
+            # a fraction over 1 equals its numerator, so it hashes as one
+            if self.den.is_constant():
+                self._hash = _hash_scaled(self.prim, self.scalar)
+            else:
+                self._hash = hash((self.scalar, self.prim, self.den))
         return self._hash
 
     def rename(self, mapping):

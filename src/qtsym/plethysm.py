@@ -9,6 +9,13 @@ products of alphabets via scaled atoms.
 Degree-truncated series carry the grading variable implicitly: component
 d of a Series is the coefficient of s^d.
 
+Exp and Log are one pair of identities between G, H = Exp(G) and the
+power sums P of G: (i) P_d = sum over n m = d of m psi_n(G_m), and (ii)
+Newton's d H_d = sum_{j=1..d} P_j H_{d-j} (Macdonald, Symmetric Functions
+and Hall Polynomials, I.2). exp_series reads them forwards, P_d by (i)
+then H_d by (ii); log_series backwards, P_d by (ii) then G_d by (i).
+Degree d takes d - 1 component products, and no Moebius function.
+
 Results are built with symfunc's SymFunc._raw and summed with its
 _accumulate rule; the Adams operator raises a coefficient through its
 own raise_exponents(n), whether a RationalFunction or a HookField.
@@ -17,7 +24,6 @@ own raise_exponents(n), whether a RationalFunction or a HookField.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .coeffring import HookField, Polynomial, RationalFunction, rf
 from .partitions import Partition
@@ -261,58 +267,39 @@ class Series:
         return "Series(cap=%d; %s)" % (self.cap, "; ".join(bits) or "0")
 
 
-@lru_cache(maxsize=None)
-def mobius(n):
-    if n == 1:
-        return 1
-    out = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if m > 1:
-        out = -out
-    return out
+def _adams_part(G, d):
+    """sum over n | d, n > 1, of (d/n) psi_n(G_{d/n}): what the components
+    of G below degree d add to the d-th power sum of Exp(G)."""
+    terms = (adams(n, G.comps[d // n]) * (d // n) for n in range(2, d + 1) if d % n == 0)
+    return sum(terms, SymFunc.zero(G.k))
+
+
+def _newton(P, H, d):
+    """sum over 0 < j < d of P_j H_{d-j}: Newton's sum without P_d H_0 = P_d."""
+    return sum((P[j] * H.comps[d - j] for j in range(1, d)), SymFunc.zero(H.k))
 
 
 def exp_series(G):
-    """Plethystic exponential of a series with zero constant term."""
+    """Plethystic exponential of a series with zero constant term: the
+    identities of the module docstring read forwards, P_d then H_d."""
     if not G.comps[0].is_zero():
         raise ValueError("Exp needs a zero constant term")
-    cap, k = G.cap, G.k
-    arg = Series(cap, k)
-    for n in range(1, cap + 1):
-        scaled = adams(n, G) * Fraction(1, n)
-        arg = arg + scaled
-    out = Series.one(cap, k)
-    term = Series.one(cap, k)
-    for m in range(1, cap + 1):
-        term = term * arg * Fraction(1, m)
-        out = out + term
-    return out
+    H = Series.one(G.cap, G.k)
+    P = [None]
+    for d in range(1, G.cap + 1):
+        P.append(G.comps[d] * d + _adams_part(G, d))
+        H.comps[d] = (P[d] + _newton(P, H, d)) * Fraction(1, d)
+    return H
 
 
 def log_series(H):
-    """Plethystic logarithm of a series with constant term one."""
+    """Plethystic logarithm of a series with constant term one: the
+    identities of the module docstring read backwards, P_d then G_d."""
     if not H.comps[0] == SymFunc.one(H.k):
         raise ValueError("Log needs constant term one")
-    cap, k = H.cap, H.k
-    G = Series(cap, k, list(H.comps))
-    G.comps[0] = SymFunc.zero(k)
-    # ordinary log(1+G), truncated
-    logh = Series(cap, k)
-    power = Series.one(cap, k)
-    for m in range(1, cap + 1):
-        power = power * G
-        logh = logh + power * Fraction((-1) ** (m - 1), m)
-    out = Series(cap, k)
-    for n in range(1, cap + 1):
-        mu = mobius(n)
-        if mu:
-            out = out + adams(n, logh) * Fraction(mu, n)
-    return out
+    G = Series(H.cap, H.k)
+    P = [None]
+    for d in range(1, H.cap + 1):
+        P.append(H.comps[d] * d - _newton(P, H, d))
+        G.comps[d] = (P[d] - _adams_part(G, d)) * Fraction(1, d)
+    return G

@@ -168,6 +168,26 @@ def test_hookfield_hash_agrees_with_equality():
     assert HookField(rf(Z), rf(1)) != rf(Z)
 
 
+def test_hash_agrees_with_equality_across_coefficient_types():
+    # a constant equals its value and a fraction over 1 its numerator
+    groups = (
+        (rf(2), 2, Fraction(2), Polynomial.const(2), HookField(rf(2))),
+        (rf(q), q),
+        (rf(Fraction(1, 2)), Fraction(1, 2), Polynomial.const(Fraction(1, 2))),
+        (rf(0), 0, Polynomial.const(0), Polynomial(("q",), {})),
+        (rf(q * t - 3), q * t - 3, Polynomial(("q", "t", "u"), {(1, 1, 0): 1, (0, 0, 0): -3})),
+        (
+            rf(2 * t - q) / 3,
+            (2 * t - q).scale(Fraction(1, 3)),
+            Polynomial(("t", "q"), {(1, 0): Fraction(2, 3), (0, 1): Fraction(-1, 3)}),
+        ),
+    )
+    for group in groups:
+        assert all(a == b for a in group for b in group)
+        assert len(set(group)) == 1, group
+    assert len({rf(q), rf(q) / rf(t), rf(t)}) == 3
+
+
 def test_hookfield_adams_and_specialize():
     x = HookField(rf(Z), rf(1))  # Z + eps
     sq = x.raise_exponents(2)  # Z^2 + eps^2 = Z^2 + ZW

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtsym.coeffring import Polynomial, rf
+from qtsym.kernel import cauchy_series, log_cauchy_series
 from qtsym.partitions import Partition, partitions_of
 from qtsym.plethysm import (
     AlphabetExpr,
@@ -159,6 +160,97 @@ def test_log_exp_round_trip(G):
 @given(random_series_two_alphabets())
 def test_log_exp_round_trip_multivariate_cap5(G):
     assert log_series(exp_series(G)) == G
+
+
+# -- references: exp and log(1 + G) as truncated power series of Series ----
+
+
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def reference_exp(G):
+    """exp(sum_n psi_n(G) / n) by its power series."""
+    cap, k = G.cap, G.k
+    arg = Series(cap, k)
+    for n in range(1, cap + 1):
+        arg = arg + adams(n, G) * Fraction(1, n)
+    out = Series.one(cap, k)
+    term = Series.one(cap, k)
+    for m in range(1, cap + 1):
+        term = term * arg * Fraction(1, m)
+        out = out + term
+    return out
+
+
+def reference_log(H):
+    """sum_n mu(n)/n psi_n(log H), with log(1 + G) by its power series."""
+    cap, k = H.cap, H.k
+    G = Series(cap, k, {d: H.comps[d] for d in range(1, cap + 1)})
+    logh = Series(cap, k)
+    power = Series.one(cap, k)
+    for m in range(1, cap + 1):
+        power = power * G
+        logh = logh + power * Fraction((-1) ** (m - 1), m)
+    out = Series(cap, k)
+    for n in range(1, cap + 1):
+        if _mobius(n):
+            out = out + adams(n, logh) * Fraction(_mobius(n), n)
+    return out
+
+
+def _check_against_references(G):
+    assert exp_series(G) == reference_exp(G)
+    one_plus = Series.one(G.cap, G.k) + G
+    assert log_series(one_plus) == reference_log(one_plus)
+
+
+@settings(max_examples=10, deadline=None)
+@given(random_series())
+def test_log_and_exp_match_the_power_series_references(G):
+    _check_against_references(G)
+
+
+@settings(max_examples=5, deadline=None)
+@given(random_series_two_alphabets())
+def test_log_and_exp_match_the_power_series_references_multivariate_cap5(G):
+    _check_against_references(G)
+
+
+@pytest.mark.parametrize("genus,points,cap", [(0, 2, 3), (0, 3, 3), (1, 1, 4)])
+def test_log_cauchy_series_and_its_exp_match_the_references(genus, points, cap):
+    H = cauchy_series(genus, points, cap)
+    L = log_cauchy_series(genus, points, cap)
+    assert L == reference_log(H)
+    assert exp_series(L) == reference_exp(L)
+
+
+def test_log_and_exp_make_one_product_per_newton_term(monkeypatch):
+    # Newton's d H_d = sum_j P_j H_{d-j} multiplies d - 1 pairs of
+    # components in degree d: cap (cap - 1) / 2 products in all
+    count = [0]
+    mul = SymFunc.__mul__
+
+    def counting(self, other):
+        if isinstance(other, SymFunc):
+            count[0] += 1
+        return mul(self, other)
+
+    H = cauchy_series(1, 1, 4)
+    monkeypatch.setattr(SymFunc, "__mul__", counting)
+    L = log_series(H)
+    assert count[0] == 6
+    count[0] = 0
+    assert exp_series(L) == H
+    assert count[0] == 6
 
 
 def test_exp_neg_z_x_coefficients():
