@@ -4,12 +4,13 @@ Table cache files are plain JSON with string-encoded polynomials so they
 can be inspected and diffed. A file holds only the Kostka entries K~;
 reloading one reproduces the in-memory table bit for bit. The power-sum
 expansions are reconstructed exactly from the Kostka entries through the
-character table, and each is checked against the characterization of
-H~, which has one solution: a file whose entries differ from the built
-table's, or that has another format version, is a CacheMiss, and
-load_or_build rebuilds the table and rewrites the file. A reloaded
-table goes in through macdonald.register_table, the one way in for a
-table built elsewhere.
+character table, and the MacdonaldTable made from them checks each
+against the characterization of H~, which has one solution: a file whose
+entries differ from the built table's, that has another format version,
+or whose JSON has the wrong shape, is a CacheMiss, and load_or_build
+rebuilds the table and rewrites the file. A reloaded table goes in
+through macdonald.register_table, the one way in for a table made
+elsewhere.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from .coeffring import ParseError, PoleError, Polynomial, rf
 from .kernel import SPECIALIZATIONS, kernel
 from .kostka_algebra import nabla, qt_catalan, structure_coefficient
 from .linalg import SingularSystem
-from .macdonald import (
-    build_table,
-    expansions_from_kostka,
-    finish_table,
-    register_table,
-)
+from .macdonald import MacdonaldTable, build_table, expansions_from_kostka, register_table
 from .partitions import Partition, parse_partition, partitions_of
 from .quiver import (
     CometSpec,
@@ -107,12 +103,14 @@ def cache_load(n, cache_dir):
             doc = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise CacheMiss("unreadable cache %s: %s" % (path, exc))
-    if doc.get("format_version") != CACHE_FORMAT_VERSION:
-        raise CacheMiss("cache version %r != %d" % (doc.get("format_version"), CACHE_FORMAT_VERSION))
-    if doc.get("degree") != n:
-        raise CacheMiss("cache degree mismatch")
     parts = partitions_of(n)
+    # a document of the wrong shape (not an object, a number where a list
+    # or a string belongs) fails here with AttributeError or TypeError
     try:
+        if doc.get("format_version") != CACHE_FORMAT_VERSION:
+            raise CacheMiss("cache version %r != %d" % (doc.get("format_version"), CACHE_FORMAT_VERSION))
+        if doc.get("degree") != n:
+            raise CacheMiss("cache degree mismatch")
         listed = tuple(Partition(p) for p in doc["partitions"])
         if listed != parts:
             raise CacheMiss("cache partition order is not canonical")
@@ -120,13 +118,12 @@ def cache_load(n, cache_dir):
         for i, lam in enumerate(parts):
             for j, rho in enumerate(parts):
                 kostka[(lam, rho)] = rf(Polynomial.parse(doc["kostka"][i][j]))
-    except (KeyError, IndexError, ParseError, ValueError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ParseError, ValueError) as exc:
         raise CacheMiss("corrupt cache %s: %s" % (path, exc))
     try:
-        htilde = expansions_from_kostka(n, kostka)
+        return MacdonaldTable(n, expansions_from_kostka(n, kostka))
     except (SingularSystem, ValueError) as exc:
         raise CacheMiss("cache Kostka entries rejected: %s" % exc)
-    return finish_table(n, htilde, kostka)
 
 
 def load_or_build(n, cache_dir=None):
@@ -276,9 +273,19 @@ def _cmd_kernel(args, emit):
     return 0
 
 
-def _read_comet_spec(path):
+def _read_spec(path, read):
+    """read(doc) of the JSON document in path; a document of the wrong
+    shape (a number or a list where an object belongs, a number where a
+    list belongs) is a ValueError."""
     with open(path) as handle:
         doc = json.load(handle)
+    try:
+        return read(doc)
+    except TypeError as exc:
+        raise ValueError("malformed spec %s: %s" % (path, exc))
+
+
+def _comet_spec(doc):
     punctures = tuple(
         PunctureSpec(
             Partition(p["multiplicities"]),
@@ -289,9 +296,7 @@ def _read_comet_spec(path):
     return CometSpec(int(doc["genus"]), int(doc["n"]), punctures)
 
 
-def _read_twist_spec(path):
-    with open(path) as handle:
-        doc = json.load(handle)
+def _twist_spec(doc):
     if isinstance(doc, dict):
         doc = [doc]
     classes = {}
@@ -305,10 +310,10 @@ def _read_twist_spec(path):
 
 
 def _cmd_poincare(args, emit):
-    spec = _read_comet_spec(args.spec)
+    spec = _read_spec(args.spec, _comet_spec)
     _load_tables(spec.rank, args.cache_dir)
     if args.twist:
-        twist = _read_twist_spec(args.twist)
+        twist = _read_spec(args.twist, _twist_spec)
         value = twisted_poincare(spec, twist)
     else:
         value = poincare(spec)

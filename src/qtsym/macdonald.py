@@ -12,10 +12,13 @@ of degree-n power sums:
       conjugate of rho,
   (c) H[1; q,t] = 1, i.e. the power-sum coefficients sum to 1.
 
-Any violation raises SingularSystem. The table bundles the Schur-basis
-transition matrix (the modified Kostka polynomials) and its inverse; the
-squared norms for the (q,t)-Hall pairing are a closed-form product over
-the cells (norm_product) and are not stored.
+Any violation raises SingularSystem. The check runs in one place, the
+MacdonaldTable constructor, on every expansion a table is made from, be
+it built here or reconstructed from a cache file. A table holds only the
+expansions; the Schur-basis transition matrix (the modified Kostka
+polynomials) and its inverse are derived from them on first use, and
+the squared norms for the (q,t)-Hall pairing are a closed-form product
+over the cells (norm_product) and are not stored.
 
 The norms a_eta are products of binomials q^A - t^B whose irreducible
 factors are known in closed form (norm_factors). Each inverse entry is
@@ -35,7 +38,7 @@ coeffring.RationalFunction), so no coefficient is ever a Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 from .coeffring import (
@@ -68,17 +71,51 @@ _T = Polynomial.var("t")
 
 
 class MacdonaldTable:
-    """Degree-n table: power-sum expansions, Kostka matrix and inverse.
-    The norms are recomputed from the cell product on each call."""
+    """Degree-n table of the power-sum expansions H~_rho, certified when
+    made: each H~_rho must satisfy the characterization, which has one
+    solution, or SingularSystem is raised. The Kostka matrix and its
+    inverse are derived from H~ on first use; the norms are recomputed
+    from the cell product on each call."""
 
-    __slots__ = ("n", "partitions", "htilde", "kostka", "kostka_inv")
-
-    def __init__(self, n, partitions, htilde, kostka, kostka_inv):
+    def __init__(self, n, htilde):
         self.n = n
-        self.partitions = partitions
+        self.partitions = partitions_of(n)
+        for rho in self.partitions:
+            _verify_solution(n, rho, htilde[rho])
         self.htilde = htilde
-        self.kostka = kostka
-        self.kostka_inv = kostka_inv
+
+    @cached_property
+    def kostka(self):
+        """(lam, rho) -> K~[lam,rho] = sum_kappa chi^lam_kappa H~_rho[kappa]."""
+        size = factorial(self.n)
+        kostka = {}
+        for rho in self.partitions:
+            weighted = _class_weighted(self.n, self.htilde[rho])
+            for lam in self.partitions:
+                kostka[(lam, rho)] = class_sum(
+                    ((w * mn_character(lam, kappa), c) for kappa, w, c in weighted), size
+                )
+        return kostka
+
+    @cached_property
+    def kostka_inv(self):
+        """(eta, lam) -> the coefficient of H~_eta in s_lam."""
+        size = factorial(self.n)
+        # Orthogonality turns inversion into pairings: the coefficient of the
+        # Macdonald element H_eta in s_lam is (s_lam, H_eta)^{q,t} / a_eta. The
+        # pairing is a polynomial, a class sum over n! of integer terms, and it
+        # is split against the known factors of a_eta and put over a_eta.
+        kostka_inv = {}
+        for eta in self.partitions:
+            norm = norm_factors(eta)
+            weighted = _class_weighted(self.n, self.htilde[eta])
+            scaled = [(kappa, w, c * qt_factor(kappa)) for kappa, w, c in weighted]
+            for lam in self.partitions:
+                num = class_sum(((w * mn_character(lam, kappa), c) for kappa, w, c in scaled), size)
+                if num:
+                    num = factored_sum([split_over((num.scalar,) + split_factors(num.prim, norm[1]), norm)])
+                kostka_inv[(eta, lam)] = num
+        return kostka_inv
 
     def htilde_p_dict(self, rho):
         """Power-sum expansion of the modified Macdonald polynomial."""
@@ -99,13 +136,8 @@ class MacdonaldTable:
     def __eq__(self, other):
         if not isinstance(other, MacdonaldTable):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.partitions == other.partitions
-            and self.htilde == other.htilde
-            and self.kostka == other.kostka
-            and self.kostka_inv == other.kostka_inv
-        )
+        # K~ and K~^-1 are functions of H~, so H~ decides
+        return self.n == other.n and self.htilde == other.htilde
 
 
 def class_sum(pairs, divisor=1):
@@ -219,8 +251,8 @@ def _filling_weights(mu, lam):
 def _htilde_hhl(n, rho):
     """Power-sum coefficients of H~_rho from the combinatorial formula
     H~_rho = sum over fillings sigma of q^inv t^maj x^sigma
-    (Haglund-Haiman-Loehr, J. Amer. Math. Soc. 18 (2005)), with every
-    constraint of the characterization re-verified; zeros are dropped."""
+    (Haglund-Haiman-Loehr, J. Amer. Math. Soc. 18 (2005)), zeros dropped.
+    Unchecked: MacdonaldTable certifies it."""
     parts = partitions_of(n)
     fillings = [(lam, Polynomial(("q", "t"), _filling_weights(rho, lam))) for lam in parts]
     coeffs = {}
@@ -229,7 +261,6 @@ def _htilde_hhl(n, rho):
         coeffs[kappa] = class_sum(
             ((z * m_to_p(lam).get(kappa, 0), w) for lam, w in fillings), z
         )
-    _verify_solution(n, rho, coeffs)
     return {kappa: c for kappa, c in coeffs.items() if not c.is_zero()}
 
 
@@ -257,33 +288,22 @@ _TABLES = {}
 
 
 def build_table(n):
-    """Build (or fetch) the full degree-n Macdonald table."""
+    """Build (or fetch) the degree-n Macdonald table."""
     if n in _TABLES:
         return _TABLES[n]
     if n < 1:
         raise ValueError("table degree must be at least 1")
     _check_cap(n)
-    parts = partitions_of(n)
-    size = factorial(n)
-    htilde = {rho: _htilde_hhl(n, rho) for rho in parts}
-    kostka = {}
-    for rho in parts:
-        weighted = _class_weighted(n, htilde[rho])
-        for lam in parts:
-            kostka[(lam, rho)] = class_sum(
-                ((w * mn_character(lam, kappa), c) for kappa, w, c in weighted), size
-            )
-    table = finish_table(n, htilde, kostka)
+    table = MacdonaldTable(n, {rho: _htilde_hhl(n, rho) for rho in partitions_of(n)})
     _TABLES[n] = table
     return table
 
 
 def expansions_from_kostka(n, kostka):
     """rho -> {kappa: H~_rho[kappa]} from the Kostka entries, zeros dropped:
-    z_kappa H~_rho[kappa] = sum_lam chi^lam_kappa K~[lam,rho]. Each expansion
-    is checked against the characterization, which has one solution per
-    rho, so entries that are not the table's raise SingularSystem (or
-    ValueError when a coefficient is not an integer)."""
+    z_kappa H~_rho[kappa] = sum_lam chi^lam_kappa K~[lam,rho]. ValueError
+    when a coefficient is not an integer; otherwise unchecked, and
+    MacdonaldTable rejects expansions that are not the table's."""
     parts = partitions_of(n)
     htilde = {}
     for rho in parts:
@@ -293,41 +313,14 @@ def expansions_from_kostka(n, kostka):
             c = class_sum(((mn_character(lam, kappa), k) for lam, k in column), kappa.z())
             if c:
                 coeffs[kappa] = c
-        _verify_solution(n, rho, coeffs)
         htilde[rho] = coeffs
     return htilde
 
 
-def finish_table(n, htilde, kostka):
-    """The MacdonaldTable of these expansions and Kostka entries, with the
-    inverse Kostka matrix computed from them."""
-    parts = partitions_of(n)
-    size = factorial(n)
-    # Orthogonality turns inversion into pairings: the coefficient of the
-    # Macdonald element H_eta in s_lam is (s_lam, H_eta)^{q,t} / a_eta. The
-    # pairing is a polynomial, a class sum over n! of integer terms, and it
-    # is split against the known factors of a_eta and put over a_eta.
-    kostka_inv = {}
-    for eta in parts:
-        norm = norm_factors(eta)
-        scaled = [(kappa, w, c * qt_factor(kappa)) for kappa, w, c in _class_weighted(n, htilde[eta])]
-        for lam in parts:
-            num = class_sum(((w * mn_character(lam, kappa), c) for kappa, w, c in scaled), size)
-            if num:
-                num = factored_sum([split_over((num.scalar,) + split_factors(num.prim, norm[1]), norm)])
-            kostka_inv[(eta, lam)] = num
-    return MacdonaldTable(n, parts, htilde, kostka, kostka_inv)
-
-
 def register_table(table):
-    """Install a table built elsewhere (cache reload) after sanity checks.
-
-    Drops everything derived from the previous tables.
-    """
-    n = table.n
-    if table.partitions != partitions_of(n):
-        raise ValueError("table partition order is not canonical")
-    _TABLES[n] = table
+    """Install a table made elsewhere (a cache reload), which was certified
+    when it was made, and drop everything derived from the previous tables."""
+    _TABLES[table.n] = table
     _clear_derived()
 
 

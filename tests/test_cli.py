@@ -128,6 +128,14 @@ def test_cache_round_trip(tmp_path, n):
     clear_tables()
     again = load_or_build(n, str(tmp_path))
     assert again == table
+    # == compares H~ only; the derived K~ and K~^-1 entries agree as well
+    for other in (loaded, again):
+        for lam in table.partitions:
+            for rho in table.partitions:
+                for entry in ("kostka_entry", "kostka_inverse_entry"):
+                    want = getattr(table, entry)(lam, rho)
+                    got = getattr(other, entry)(lam, rho)
+                    assert got == want and repr(got) == repr(want), (entry, lam, rho)
     build_table(n)  # repopulate the in-process cache for other tests
 
 
@@ -184,6 +192,49 @@ def test_tampered_kostka_entry_is_a_cache_miss(tmp_path, n):
     rebuilt = load_or_build(n, str(tmp_path))
     assert rebuilt == build_table(n) == table
     assert cache_load(n, str(tmp_path)) == table
+
+
+@pytest.mark.parametrize(
+    "reshape",
+    [
+        lambda doc: [doc],
+        lambda doc: {**doc, "kostka": [[5] * len(row) for row in doc["kostka"]]},
+        lambda doc: {**doc, "partitions": 5},
+    ],
+    ids=["top-level-list", "numeric-kostka-entry", "numeric-partitions"],
+)
+def test_cache_of_the_wrong_shape_is_a_cache_miss(tmp_path, capsys, reshape):
+    path = cache_save(build_table(2), str(tmp_path))
+    doc = json.loads(open(path).read())
+    open(path, "w").write(json.dumps(reshape(doc)))
+    with pytest.raises(CacheMiss, match="corrupt"):
+        cache_load(2, str(tmp_path))
+    clear_tables()
+    assert main(["--cache-dir", str(tmp_path), "macdonald", "--n", "2"]) == 0
+    assert "cache ignored" in capsys.readouterr().err
+    assert cache_load(2, str(tmp_path)) == build_table(2)
+
+
+RANK_ONE_SPEC = {"genus": 0, "n": 1, "punctures": [{"multiplicities": [1], "jordan": [[1]]}]}
+
+
+@pytest.mark.parametrize(
+    "spec,twist",
+    [
+        ({"genus": 0, "n": 2, "punctures": 5}, None),
+        ([RANK_ONE_SPEC], None),
+        (RANK_ONE_SPEC, {"puncture": 1, "classes": 3}),
+    ],
+    ids=["numeric-punctures", "top-level-list", "numeric-classes"],
+)
+def test_spec_of_the_wrong_shape_is_a_value_error(tmp_path, capsys, spec, twist):
+    argv = ["poincare", "--spec", str(tmp_path / "spec.json")]
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    if twist is not None:
+        (tmp_path / "twist.json").write_text(json.dumps(twist))
+        argv += ["--twist", str(tmp_path / "twist.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("ValueError: malformed spec")
 
 
 def test_cache_missing_silent_rebuild(tmp_path):

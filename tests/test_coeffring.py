@@ -352,7 +352,7 @@ def test_norm_factors_have_a_unit_led_indeterminate(n):
 
 def _inverse_kostka_numerators(n):
     """(numerator, factors of a_eta) of every nonzero K~^-1[eta, lam] for
-    lam, eta of n, the splits macdonald.finish_table makes."""
+    lam, eta of n, the splits MacdonaldTable.kostka_inv makes."""
     table = build_table(n)
     cases = []
     for eta in table.partitions:

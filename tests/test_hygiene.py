@@ -1,8 +1,9 @@
 """Source hygiene, by stdlib ast scans of src/qtsym and tests (package
 re-exports in __init__.py are exempt): no module imports a name it never
 uses, no function assigns a name it never reads, every name the package
-exports is used somewhere in src/qtsym, tests or demos, and only
-coeffring divides or takes gcds of polynomials."""
+exports is used somewhere in src/qtsym, tests or demos, only coeffring
+divides or takes gcds of polynomials, and only the MacdonaldTable
+constructor checks the characterization of H~."""
 
 import ast
 from pathlib import Path
@@ -139,26 +140,33 @@ def test_no_unread_assignments(path):
 # by the previous pivot is exact by Sylvester's identity.
 COEFFRING_ONLY = {"divexact", "gcd_cofactors", "poly_gcd"}
 COEFFRING_EXEMPT = {"linalg.py": {"solve_bareiss"}}
-MODULES = sorted(p for p in (ROOT / "src" / "qtsym").glob("*.py") if p.name != "coeffring.py")
+PACKAGE = sorted((ROOT / "src" / "qtsym").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "coeffring.py"]
+# The characterization of H~ is checked in one place: where a
+# MacdonaldTable is made, built or reloaded.
+TABLE_GATE = {"_verify_solution"}
+TABLE_GATE_EXEMPT = {"macdonald.py": {"MacdonaldTable.__init__"}}
 
 
-def coeffring_only_calls(source, exempt=()):
-    """(line, name) for each call of a COEFFRING_ONLY name in source, by
-    name or as an attribute, outside the functions named in exempt."""
+def restricted_calls(source, names, exempt=()):
+    """(line, name) for each call of one of names in source, by name or
+    as an attribute, outside the functions whose qualified names (f, or
+    Class.f for a method) are in exempt."""
     out = []
 
-    def visit(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in exempt:
-            inside = True
+    def visit(node, scope, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+            inside = inside or ".".join(scope) in exempt
         if isinstance(node, ast.Call) and not inside:
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in COEFFRING_ONLY:
+            if name in names:
                 out.append((node.lineno, name))
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, scope, inside)
 
-    visit(ast.parse(source), False)
+    visit(ast.parse(source), (), False)
     return sorted(out)
 
 
@@ -168,11 +176,23 @@ def test_scan_flags_a_coeffring_only_call():
         "def f(a, b):\n    return a.divexact(poly_gcd(a, b))\n"
         "def g(a, b):\n    return a.divexact(b)\n"
         "h = gcd_cofactors\n"
+        "class C:\n    def g(self, a):\n        return a.divexact(a)\n"
     )
-    assert coeffring_only_calls(source) == [(3, "divexact"), (3, "poly_gcd"), (5, "divexact")]
-    assert coeffring_only_calls(source, {"g"}) == [(3, "divexact"), (3, "poly_gcd")]
+    everywhere = [(3, "divexact"), (3, "poly_gcd"), (5, "divexact"), (9, "divexact")]
+    assert restricted_calls(source, COEFFRING_ONLY) == everywhere
+    assert restricted_calls(source, COEFFRING_ONLY, {"g"}) == everywhere[:2] + everywhere[3:]
+    assert restricted_calls(source, COEFFRING_ONLY, {"C.g"}) == everywhere[:3]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_only_coeffring_divides_or_takes_gcds(path):
-    assert coeffring_only_calls(path.read_text(), COEFFRING_EXEMPT.get(path.name, ())) == []
+    assert restricted_calls(path.read_text(), COEFFRING_ONLY, COEFFRING_EXEMPT.get(path.name, ())) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_only_the_table_constructor_runs_the_characterization_gate(path):
+    assert restricted_calls(path.read_text(), TABLE_GATE, TABLE_GATE_EXEMPT.get(path.name, ())) == []
+
+
+def test_the_table_constructor_runs_the_characterization_gate():
+    assert len(restricted_calls((ROOT / "src" / "qtsym" / "macdonald.py").read_text(), TABLE_GATE)) == 1

@@ -13,6 +13,7 @@ from qtsym.kernel import (
     q1_point,
     specialize_kernel,
 )
+from qtsym.kostka_algebra import structure_coefficients_all
 from qtsym.macdonald import build_table, clear_tables, norm_product, register_table
 from qtsym.partitions import Partition, partitions_of
 from qtsym.plethysm import exp_series
@@ -314,3 +315,15 @@ def test_kernel_coefficients_are_scalar_times_primitive_integer_parts(args):
                 assert p.content_signed() == 1, c
         again = RationalFunction(c.num, c.den)
         assert again == c and repr(again) == repr(c)
+
+
+def test_kernel_leaves_the_kostka_matrices_uncomputed():
+    # the kernel reads only H~; K~ and K~^-1 are derived on first use
+    clear_tables()
+    kernel(3, 0, 2)
+    tables = [build_table(d) for d in range(1, 4)]
+    for table in tables:
+        assert "kostka" not in vars(table) and "kostka_inv" not in vars(table)
+    for d, table in enumerate(tables, 1):
+        structure_coefficients_all([P(d)])
+        assert "kostka" in vars(table) and "kostka_inv" in vars(table)

@@ -16,7 +16,13 @@ from qtsym.kostka_algebra import (
     structure_coefficient,
     structure_coefficients_all,
 )
-from qtsym.macdonald import MacdonaldTable, build_table, clear_tables, register_table
+from qtsym.macdonald import (
+    MacdonaldTable,
+    build_table,
+    clear_tables,
+    expansions_from_kostka,
+    register_table,
+)
 from qtsym.partitions import Partition, partitions_of
 from qtsym.symfunc import SymFunc, e_elem, expand1, hall_scalar, s_elem
 
@@ -255,20 +261,20 @@ def test_nabla_pairing_is_column_coefficient():
 
 
 def test_structure_coefficients_use_a_passed_table():
-    # a table built elsewhere goes in through register_table. With identity
-    # Kostka matrices the only nonzero coefficient is the one whose target
-    # equals every factor; registering and clearing each drop the memo.
+    # a table made elsewhere goes in through register_table. Registering
+    # a freshly made table equal to the registered one still drops the
+    # memo, and so does clearing.
     real = build_table(2)
     factors = [P(1, 1), P(1, 1)]
     memo = structure_coefficients_all(factors)
-    ident = {(lam, eta): rf(1 if lam == eta else 0) for lam in real.partitions for eta in real.partitions}
-    expect = {lam: rf(1 if lam == P(1, 1) else 0) for lam in real.partitions}
-    assert memo != expect
-    try:
-        register_table(MacdonaldTable(2, real.partitions, real.htilde, ident, ident))
-        assert structure_coefficients_all(factors) == expect
-    finally:
-        clear_tables()
+    assert structure_coefficients_all(factors) is memo
+    fresh = MacdonaldTable(2, expansions_from_kostka(2, real.kostka))
+    assert fresh is not real and fresh == real
+    register_table(fresh)
+    again = structure_coefficients_all(factors)
+    assert again is not memo and again == memo
+    clear_tables()
+    assert structure_coefficients_all(factors) is not again
     assert structure_coefficients_all(factors) == memo
 
 

@@ -8,12 +8,14 @@ from qtsym.linalg import SingularSystem, invert_matrix, solve_bareiss
 from qtsym.partitions import Partition, dominance_leq, partitions_of
 from qtsym.plethysm import AlphabetExpr, substitute
 from qtsym.macdonald import (
+    MacdonaldTable,
     _verify_solution,
     build_table,
     class_sum,
     delta1,
     delta1_eigenvalue,
     evaluation_product,
+    expansions_from_kostka,
     norm_factors,
     norm_product,
     phi_weight,
@@ -105,6 +107,18 @@ def test_verify_solution_rejects_a_perturbed_expansion():
         moved = {**coeffs, first: coeffs[first] + rf(q), second: coeffs[second] - rf(q)}
         with pytest.raises(SingularSystem, match="triangularity"):
             _verify_solution(n, rho, moved)
+
+
+def test_table_of_identity_kostka_entries_is_rejected():
+    # identity K~ makes H~_rho = s_rho, which fails the characterization;
+    # the expansions are not checked, the table made of them is, so no
+    # such table can be registered
+    parts = partitions_of(2)
+    ident = {(lam, eta): rf(1 if lam == eta else 0) for lam in parts for eta in parts}
+    htilde = expansions_from_kostka(2, ident)
+    assert htilde[P(1, 1)] != build_table(2).htilde_p_dict(P(1, 1))
+    with pytest.raises(SingularSystem):
+        MacdonaldTable(2, htilde)
 
 
 def test_kostka_top_row_is_one():
