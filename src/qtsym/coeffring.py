@@ -28,7 +28,8 @@ vol. 2, 4.5.1). With g = gcd(d1, d2), n1/d1 + n2/d2 is
 numerator and denominator can only divide g, because the inputs are
 reduced and d1/g, d2/g are coprime; so only g is reduced against. A
 product cross-cancels prim1 against d2 and prim2 against d1, and
-multiplies the scalars.
+multiplies the scalars; a constant factor made by const or rf only
+scales the scalar.
 
 RationalFunction reduces by poly_gcd, through gcd_cofactors. Gcds in two
 indeterminates, which is all of the engine's (q,t) and (Z,W) traffic,
@@ -1217,6 +1218,8 @@ class RationalFunction:
         if not self.scalar or not other.scalar:
             return RF_ZERO
         s = _normc(self.scalar * other.scalar)
+        if other.prim is P_ONE and other.den is P_ONE:
+            return _make(s, self.prim, self.den)
         if self.den.is_constant() and other.den.is_constant():
             return _make(s, self.prim * other.prim, P_ONE)
         _, n1, d2 = gcd_cofactors(self.prim, other.den)

@@ -21,7 +21,9 @@ permuting a key only permutes the factors of its coefficient, so all
 keys of an orbit have the same exact coefficient. Each degree therefore
 sums the partition contributions once per sorted orbit representative
 and stores the reduced sum, as one shared object, under every key of
-the orbit. Storage stays dense over all alphabet keys.
+the orbit (plethysm.spread). The Log (plethysm.log_step) and the
+(Z-1)(1-W) scaling of the kernel are computed once per orbit in the same
+way. Storage stays dense over all alphabet keys.
 
 No coefficient of the series takes a gcd. The denominator of every
 weight is the norm a_lam, whose irreducible factors are known in closed
@@ -34,17 +36,17 @@ its denominator only the factors it has fewer times than a_lam
 factors by Henrici's rule (coeffring.factored_sum).
 hook_factor is the term of the empty key, from the same split parts.
 
-The series components (one memo entry per degree, shared by every cap),
-the Log and the kernels, bivariate or specialized at a point, are
-memoized as table-derived data (macdonald.derived): each
-(n, genus, points, point) is specialized once, and every memo is dropped
-whenever the tables are cleared or any table is registered.
+The series components and the Log components (one memo entry per
+degree, shared by every cap), the Log series and the kernels, bivariate
+or specialized at a point, are memoized as table-derived data
+(macdonald.derived): each (n, genus, points, point) is specialized once,
+and every memo is dropped whenever the tables are cleared or any table
+is registered.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 from .coeffring import (
     P_ONE,
@@ -59,8 +61,8 @@ from .coeffring import (
     split_product,
 )
 from .macdonald import build_table, derived, norm_factors
-from .partitions import Partition, partitions_of
-from .plethysm import Series, log_series
+from .partitions import Partition
+from .plethysm import Series, log_step, orbit_filter, sorted_key, spread
 from .symfunc import SymFunc
 
 _Z = Polynomial.var("Z")
@@ -165,12 +167,7 @@ def _cauchy_component(genus, points, d):
             for out, part in zip(terms, parts):
                 out.append(split_over(split_product(part, x), norm))
     reps = {rep: _orbit_coefficient(sums) for rep, sums in reps.items()}
-    terms = {}
-    for key in product(sorted(partitions_of(d)), repeat=points):
-        c = reps.get(tuple(sorted(key)))
-        if c is not None and not c.is_zero():
-            terms[key] = c
-    return SymFunc._raw(points, terms)
+    return spread({rep: c for rep, c in reps.items() if not c.is_zero()}, points)
 
 
 @derived
@@ -185,8 +182,19 @@ def cauchy_series(genus, points, cap):
 
 
 @derived
+def _log_component(genus, points, d):
+    """(P_d, G_d) of the Log of the series (plethysm.log_step), one memo
+    entry per degree, shared by every cap; computed once per orbit."""
+    H = cauchy_series(genus, points, d)
+    lower = [(None, SymFunc.zero(points))] + [_log_component(genus, points, j) for j in range(1, d)]
+    P, G = zip(*lower)
+    return log_step(H.comps, P, G, d, orbit_filter(H))
+
+
+@derived
 def log_cauchy_series(genus, points, cap):
-    return log_series(cauchy_series(genus, points, cap))
+    _check_nonnegative(genus=genus, points=points, cap=cap)
+    return Series(cap, points, {d: _log_component(genus, points, d)[1] for d in range(1, cap + 1)})
 
 
 def kernel(n, genus, points, point=None):
@@ -207,8 +215,10 @@ def kernel(n, genus, points, point=None):
 @derived
 def _kernel(n, genus, points, point):
     if point is None:
-        comp = log_cauchy_series(genus, points, n).component(n)
-        return comp * rf((_Z - 1) * (1 - _W))
+        # once per orbit: the Log is symmetric under permuting the alphabets
+        scale = rf((_Z - 1) * (1 - _W))
+        terms = _log_component(genus, points, n)[1].terms
+        return spread({rep: c * scale for rep, c in terms.items() if sorted_key(rep)}, points)
     return specialize_kernel(kernel(n, genus, points), *point)
 
 

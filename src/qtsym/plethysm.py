@@ -16,6 +16,15 @@ and Hall Polynomials, I.2). exp_series reads them forwards, P_d by (i)
 then H_d by (ii); log_series backwards, P_d by (ii) then G_d by (i).
 Degree d takes d - 1 component products, and no Moebius function.
 
+A series on two or more alphabets whose components do not change under
+permuting them, as the Cauchy series and its Log do, is computed once
+per orbit of the permutations. orbit_filter tests that once per call and
+gives the key filter sorted_key; every product, Adams image and scalar
+step of log_step and exp_series then forms the sorted keys only, and
+spread stores each result as one shared object under every key of its
+orbit, so storage stays dense. Any other series, such as a test input,
+runs the same loops with no filter, on every key.
+
 Results are built with symfunc's SymFunc._raw and summed with its
 _accumulate rule; the Adams operator raises a coefficient through its
 own raise_exponents(n), whether a RationalFunction or a HookField.
@@ -24,6 +33,8 @@ own raise_exponents(n), whether a RationalFunction or a HookField.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations
 
 from .coeffring import HookField, Polynomial, RationalFunction, rf
 from .partitions import Partition
@@ -267,16 +278,67 @@ class Series:
         return "Series(cap=%d; %s)" % (self.cap, "; ".join(bits) or "0")
 
 
-def _adams_part(G, d):
+def sorted_key(key):
+    """The key filter of the orbit products: true on the sorted key that
+    represents each orbit of the alphabet permutations."""
+    return key == tuple(sorted(key))
+
+
+@lru_cache(maxsize=None)
+def _orbit(rep):
+    """The distinct permutations of an alphabet key, in sorted order."""
+    return tuple(sorted(set(permutations(rep))))
+
+
+def spread(reps, k):
+    """The SymFunc on k alphabets that stores each coefficient of reps, a
+    dict on sorted keys, as one shared object under every key of its orbit."""
+    return SymFunc._raw(k, {key: c for rep, c in reps.items() for key in _orbit(rep)})
+
+
+def orbit_filter(S):
+    """sorted_key when the series S has two or more alphabets and no
+    component changes under permuting them, else None (every key). A
+    shared coefficient settles its key by an identity test."""
+    if S.k < 2:
+        return None
+    for F in S.comps:
+        size = 0
+        for key, c in F.terms.items():
+            rep = tuple(sorted(key))
+            r = F.terms.get(rep)
+            if r is not c and (r is None or r != c):
+                return None
+            if rep == key:
+                size += len(_orbit(rep))
+        if size != len(F.terms):
+            return None
+    return sorted_key
+
+
+def _part(F, keep):
+    """F on the keys that keep accepts."""
+    if keep is None:
+        return F
+    return SymFunc._raw(F.k, {key: c for key, c in F.terms.items() if keep(key)})
+
+
+def _whole(F, keep):
+    """F, computed on the keys that keep accepts, on every key."""
+    return F if keep is None else spread(F.terms, F.k)
+
+
+def _adams_part(G, d, keep):
     """sum over n | d, n > 1, of (d/n) psi_n(G_{d/n}): what the components
-    of G below degree d add to the d-th power sum of Exp(G)."""
-    terms = (adams(n, G.comps[d // n]) * (d // n) for n in range(2, d + 1) if d % n == 0)
-    return sum(terms, SymFunc.zero(G.k))
+    of G below degree d add to the d-th power sum of Exp(G). psi_n scales
+    the parts of a key, so it takes sorted keys to sorted keys."""
+    terms = (adams(n, _part(G[d // n], keep)) * (d // n) for n in range(2, d + 1) if d % n == 0)
+    return sum(terms, SymFunc.zero(G[0].k))
 
 
-def _newton(P, H, d):
+def _newton(P, H, d, keep):
     """sum over 0 < j < d of P_j H_{d-j}: Newton's sum without P_d H_0 = P_d."""
-    return sum((P[j] * H.comps[d - j] for j in range(1, d)), SymFunc.zero(H.k))
+    return sum((P[j].product(H[d - j], keep) for j in range(1, d)), SymFunc.zero(H[0].k))
 
 
 def exp_series(G):
@@ -284,22 +346,34 @@ def exp_series(G):
     identities of the module docstring read forwards, P_d then H_d."""
     if not G.comps[0].is_zero():
         raise ValueError("Exp needs a zero constant term")
+    keep = orbit_filter(G)
     H = Series.one(G.cap, G.k)
     P = [None]
     for d in range(1, G.cap + 1):
-        P.append(G.comps[d] * d + _adams_part(G, d))
-        H.comps[d] = (P[d] + _newton(P, H, d)) * Fraction(1, d)
+        Pd = _part(G.comps[d], keep) * d + _adams_part(G.comps, d, keep)
+        H.comps[d] = _whole((Pd + _newton(P, H.comps, d, keep)) * Fraction(1, d), keep)
+        P.append(_whole(Pd, keep))
     return H
 
 
+def log_step(H, P, G, d, keep):
+    """(P_d, G_d): the identities of the module docstring read backwards in
+    degree d, from H_1..H_d, P_1..P_{d-1} and G_0..G_{d-1}, each a sequence
+    indexed by degree. keep is orbit_filter of the series H."""
+    Pd = _part(H[d], keep) * d - _newton(P, H, d, keep)
+    Gd = (Pd - _adams_part(G, d, keep)) * Fraction(1, d)
+    return _whole(Pd, keep), _whole(Gd, keep)
+
+
 def log_series(H):
-    """Plethystic logarithm of a series with constant term one: the
-    identities of the module docstring read backwards, P_d then G_d."""
+    """Plethystic logarithm of a series with constant term one: log_step
+    in each degree."""
     if not H.comps[0] == SymFunc.one(H.k):
         raise ValueError("Log needs constant term one")
+    keep = orbit_filter(H)
     G = Series(H.cap, H.k)
     P = [None]
     for d in range(1, H.cap + 1):
-        P.append(H.comps[d] * d - _newton(P, H, d))
-        G.comps[d] = (P[d] - _adams_part(G, d)) * Fraction(1, d)
+        Pd, G.comps[d] = log_step(H.comps, P, G.comps, d, keep)
+        P.append(Pd)
     return G

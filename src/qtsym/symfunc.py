@@ -297,16 +297,21 @@ class SymFunc:
     def __sub__(self, other):
         return self + (-other)
 
+    def product(self, other, keep=None):
+        """self * other on the keys that keep accepts, or on every key."""
+        if self.k != other.k:
+            raise ValueError("alphabet count mismatch")
+        out = {}
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                key = tuple(_merge_parts(a, b) for a, b in zip(ka, kb))
+                if keep is None or keep(key):
+                    _accumulate(out, key, ca * cb)
+        return SymFunc._raw(self.k, out)
+
     def __mul__(self, other):
         if isinstance(other, SymFunc):
-            if self.k != other.k:
-                raise ValueError("alphabet count mismatch")
-            out = {}
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    key = tuple(_merge_parts(a, b) for a, b in zip(ka, kb))
-                    _accumulate(out, key, ca * cb)
-            return SymFunc._raw(self.k, out)
+            return self.product(other)
         c = _cf(other)
         if c.is_zero():
             return SymFunc.zero(self.k)

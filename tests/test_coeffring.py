@@ -700,6 +700,19 @@ def test_rf_add_and_mul_match_the_reduced_reference(case):
         assert got.den.content_signed() == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(_rf_operands(), _fractions)
+def test_scalar_product_agrees_with_the_general_product(case, c):
+    # rf(c) is over P_ONE and takes the scalar path; the same constant
+    # built by the constructor has its own prim and takes the general one
+    x, _ = case
+    scalar, general = rf(c), RationalFunction(Polynomial.const(c))
+    assert scalar == general and (not c or (scalar.prim is P_ONE and general.prim is not P_ONE))
+    for got, want in ((x * scalar, x * general), (scalar * x, general * x)):
+        assert got == want and repr(got) == repr(want)
+        _assert_canonical(got)
+
+
 def _assert_canonical(x):
     """x is scalar * prim / den with prim and den primitive integer
     polynomials with positive leading coefficient, and num their product."""

@@ -4,6 +4,7 @@ import pytest
 
 from qtsym.coeffring import HookField, Polynomial, RationalFunction, gcd_path_counts, rf
 from qtsym.kernel import (
+    _log_component,
     cauchy_series,
     hook_factor,
     kernel,
@@ -240,6 +241,36 @@ def test_cauchy_components_are_shared_across_caps_and_cleared():
     assert fresh is not first
     assert fresh == first
     assert cauchy_series(1, 2, 2).component(1) is fresh
+
+
+def test_log_components_are_shared_across_caps_and_dropped(monkeypatch):
+    register_table(build_table(1))  # drops every derived memo, keeps the tables
+    top = log_cauchy_series(1, 2, 3)
+    count = [0]
+    for cls in (RationalFunction, HookField):
+
+        def counting(self, other, mul=cls.__mul__):
+            count[0] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+    low = log_cauchy_series(1, 2, 2)
+    assert count[0] == 0
+    assert low.comps[1] is top.comps[1] and low.comps[2] is top.comps[2]
+    monkeypatch.undo()
+    for drop in (clear_tables, lambda: register_table(build_table(2))):
+        drop()
+        assert _log_component.cache_info().currsize == 0
+        fresh = log_cauchy_series(1, 2, 2)
+        assert fresh.comps[2] is not low.comps[2] and fresh == low
+        low = fresh
+
+
+def test_kernel_keeps_one_coefficient_object_per_orbit():
+    # 81 keys, one per 4-tuple of partitions of 3, in 15 orbits
+    K = kernel(3, 0, 4)
+    assert len(K.terms) == 81
+    assert len({id(c) for c in K.terms.values()}) == 15
 
 
 def test_specialized_kernels_are_cached_per_point_and_cleared():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtsym.coeffring import Polynomial, rf
-from qtsym.kernel import cauchy_series, log_cauchy_series
+from qtsym import plethysm
+from qtsym.coeffring import Polynomial, RationalFunction, rf
+from qtsym.kernel import cauchy_series, kernel, log_cauchy_series
 from qtsym.partitions import Partition, partitions_of
 from qtsym.plethysm import (
     AlphabetExpr,
@@ -15,6 +16,8 @@ from qtsym.plethysm import (
     eval_var,
     exp_series,
     log_series,
+    orbit_filter,
+    sorted_key,
     substitute,
     z_diagonal,
 )
@@ -225,32 +228,100 @@ def test_log_and_exp_match_the_power_series_references_multivariate_cap5(G):
     _check_against_references(G)
 
 
-@pytest.mark.parametrize("genus,points,cap", [(0, 2, 3), (0, 3, 3), (1, 1, 4)])
+# the kernel-assembly cases of perfbench, then two larger ones
+LOG_CASES = [
+    (genus, points, cap)
+    for cap in (1, 2, 3)
+    for genus in (0, 1)
+    for points in (1, 2, 3, 4)
+    if not (cap == 3 and genus == 1 and points > 2)
+] + [(1, 1, 4), (0, 4, 4), (1, 3, 3)]
+
+
+@pytest.mark.parametrize("genus,points,cap", LOG_CASES)
 def test_log_cauchy_series_and_its_exp_match_the_references(genus, points, cap):
+    # the Log, kernel and Exp computed once per orbit against the dense
+    # references, in value and in repr
     H = cauchy_series(genus, points, cap)
     L = log_cauchy_series(genus, points, cap)
-    assert L == reference_log(H)
-    assert exp_series(L) == reference_exp(L)
+    want = reference_log(H)
+    Z, W = Polynomial.var("Z"), Polynomial.var("W")
+    want_kernel = want.component(cap) * rf((Z - 1) * (1 - W))
+    E = exp_series(L)
+    for got, ref in ((L, want), (kernel(cap, genus, points), want_kernel), (E, reference_exp(L))):
+        assert got == ref and repr(got) == repr(ref)
+    assert E == H
+
+
+def _two_alphabet_series(comps):
+    H = Series.one(len(comps), 2)
+    for d, terms in enumerate(comps, 1):
+        H.comps[d] = SymFunc(2, {tuple(map(Partition, key)): c for key, c in terms.items()})
+    return H
+
+
+def test_non_symmetric_series_run_on_every_key():
+    # a key and its swap with different coefficients, and an orbit with
+    # its sorted key only: neither is taken for symmetric
+    swapped = _two_alphabet_series([
+        {((1,), ()): q, ((), (1,)): t},
+        {((1,), (1,)): q * t, ((2,), ()): 1, ((), (2,)): 1, ((1, 1), ()): u},
+        {((2,), (1,)): q, ((1,), (2,)): q, ((3,), ()): t},
+    ])
+    partial = _two_alphabet_series([{((1,), (1,)): q}, {((), (2,)): t, ((1,), (1,)): 1}])
+    for H in (swapped, partial):
+        assert orbit_filter(H) is None
+        L = log_series(H)
+        want = reference_log(H)
+        assert L == want and repr(L) == repr(want)
+        assert exp_series(L) == reference_exp(L) == H
 
 
 def test_log_and_exp_make_one_product_per_newton_term(monkeypatch):
     # Newton's d H_d = sum_j P_j H_{d-j} multiplies d - 1 pairs of
     # components in degree d: cap (cap - 1) / 2 products in all
     count = [0]
-    mul = SymFunc.__mul__
+    product = SymFunc.product
 
-    def counting(self, other):
-        if isinstance(other, SymFunc):
-            count[0] += 1
-        return mul(self, other)
+    def counting(self, other, keep=None):
+        count[0] += 1
+        return product(self, other, keep)
 
     H = cauchy_series(1, 1, 4)
-    monkeypatch.setattr(SymFunc, "__mul__", counting)
+    monkeypatch.setattr(SymFunc, "product", counting)
     L = log_series(H)
     assert count[0] == 6
     count[0] = 0
     assert exp_series(L) == H
     assert count[0] == 6
+
+
+def test_orbit_products_make_fewer_coefficient_products(monkeypatch):
+    # four alphabets: computing one key per orbit multiplies fewer
+    # coefficients than the loops over every key, for the same Log and Exp
+    count = [0]
+    mul = RationalFunction.__mul__
+
+    def counting(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    H = cauchy_series(0, 4, 3)
+    assert orbit_filter(H) is sorted_key
+    assert orbit_filter(log_cauchy_series(0, 4, 3)) is sorted_key
+    monkeypatch.setattr(RationalFunction, "__mul__", counting)
+
+    def log_and_exp():
+        count[0] = 0
+        L = log_series(H)
+        E = exp_series(L)
+        return count[0], L, E
+
+    orbit, L, E = log_and_exp()
+    monkeypatch.setattr(plethysm, "orbit_filter", lambda S: None)
+    every, L_every, E_every = log_and_exp()
+    assert L == L_every and E == E_every == H
+    assert 3 * orbit < every
 
 
 def test_exp_neg_z_x_coefficients():
