@@ -563,14 +563,14 @@ class Polynomial:
             if factor[0].isdigit():
                 try:
                     coeff *= Fraction(factor)
-                except ValueError as exc:
+                except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError("bad coefficient %r" % factor) from exc
             else:
-                name, _, exp = factor.partition("^")
+                name, caret, exp = factor.partition("^")
                 if not name.isidentifier():
                     raise ParseError("bad indeterminate %r" % name)
                 e = 1
-                if exp:
+                if caret:
                     try:
                         e = int(exp)
                     except ValueError as exc:

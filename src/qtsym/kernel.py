@@ -12,9 +12,11 @@ coefficients stay in Q(Z,W); positive genus brings in the squared-hook
 numerators with their eps part.
 
 The degree-n kernel is (Z-1)(1-W) times the degree-n component of the
-plethystic logarithm of the series. Specializing a single hook term is
-unsound (they have poles that only cancel in the logarithm), so
-specialization always happens after full assembly and reduction.
+plethystic logarithm of the series. At singular points such as Z=1 a
+single hook term has a pole that only cancels in the logarithm, so
+specializing term by term is unsound there; specialization always
+happens after full assembly and reduction. (At Z=0 the hook
+denominators do not vanish.)
 
 Every term prod_j H[X_j] is symmetric under permuting the k alphabets:
 permuting a key only permutes the factors of its coefficient, so all
@@ -235,11 +237,17 @@ def specialize_kernel(F, z_value, w_value, eps_value):
             "eps value %s inconsistent with Z*W = %s" % (ev, zv * wv)
         )
     assign = {"Z": zv, "W": wv}
+    # the keys of an orbit share one coefficient object (plethysm.spread),
+    # so each distinct object is specialized once and the result shared
+    done = {}
 
     def spec(c):
-        if isinstance(c, HookField):
-            return c.specialize(assign, eps_value=ev)
-        return c.specialize(assign)
+        if id(c) not in done:
+            if isinstance(c, HookField):
+                done[id(c)] = c.specialize(assign, eps_value=ev)
+            else:
+                done[id(c)] = c.specialize(assign)
+        return done[id(c)]
 
     if isinstance(F, (HookField, RationalFunction)):
         return spec(F)

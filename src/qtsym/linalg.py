@@ -1,10 +1,11 @@
-"""Exact linear algebra: matrix inversion and polynomial system solves.
+"""Exact linear algebra: polynomial system solves.
 
-invert_matrix (Gauss-Jordan over Q) serves symfunc's monomial-to-power-sum
-transition. solve_bareiss, exported by the package, is fraction-free
-(Bareiss) elimination over polynomial matrices with minimal-degree
-pivots, which keeps entries polynomial and limits swell.
-Overdetermined systems are allowed; the caller re-verifies the solution.
+solve_bareiss, exported by the package, is fraction-free (Bareiss)
+elimination over polynomial matrices with minimal-degree pivots, which
+keeps entries polynomial and limits swell. Overdetermined systems are
+allowed; the caller re-verifies the solution. No engine routine calls
+it; it stays because the benchmark's tracer names it. SingularSystem is
+the error the Macdonald characterization gate raises.
 """
 
 from __future__ import annotations
@@ -105,24 +106,3 @@ def _as_poly(x):
         return x.num
     raise TypeError("expected polynomial entry, got %r" % (x,))
 
-
-def invert_matrix(rows):
-    """Inverse of a square matrix of ints and Fractions, as Fractions.
-    Gauss-Jordan; raises SingularSystem when singular."""
-    n = len(rows)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot is None:
-            raise SingularSystem("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            factor = aug[i][col]
-            if i != col and factor:
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]

@@ -1,10 +1,14 @@
 """Modified Macdonald polynomials from the Haglund-Haiman-Loehr formula.
 
-Each H~_rho is summed over the fillings of the diagram of rho, weighted
-by q^inv t^maj (J. Amer. Math. Soc. 18 (2005)), and mapped from the
-monomial to the power-sum basis. The result is then checked against the
-linear characterization that pins H~_rho down uniquely inside the span
-of degree-n power sums:
+Each H~_rho is summed over the n! standard fillings of the diagram of
+rho, weighted by q^inv t^maj and bucketed by inverse descent set
+(J. Amer. Math. Soc. 18 (2005)): H~_rho = sum_D (bucket of D) F_D, with
+F_D the fundamental quasisymmetric function. Its power-sum coefficients
+are sum_D <F_D, p_kappa> (bucket of D) / z_kappa, each pairing a sign or
+zero (symfunc.ribbon_sign), so one enumeration per shape serves every
+coefficient and no monomial basis is formed. The result is then checked
+against the linear characterization that pins H~_rho down uniquely
+inside the span of degree-n power sums:
 
   (a) the monomial expansion of H[X(t-1)] is supported on mu below rho
       in dominance order,
@@ -25,14 +29,15 @@ factors are known in closed form (norm_factors). Each inverse entry is
 a polynomial pairing over a_eta, reduced by dividing out those factors
 (coeffring.split_factors), with no polynomial gcd.
 
-Every sum over the conjugacy classes kappa of S_n (the monomial to
-power-sum map, the checks of the characterization, the Kostka entries
-and the numerators of the inverse) runs on integers (class_sum): z_kappa
-times a power-sum coefficient and the class size n!/z_kappa times a
-character are integers, so every term is an integer polynomial. The
-content of the integer sum over z_kappa or n! becomes the rational
-scalar of the result, beside its primitive integer part (see
-coeffring.RationalFunction), so no coefficient is ever a Fraction.
+Every sum over the conjugacy classes kappa of S_n (the power-sum
+coefficients of the fillings, the checks of the characterization, the
+Kostka entries and the numerators of the inverse) runs on integers
+(class_sum): the ribbon signs, z_kappa times a power-sum coefficient
+and the class size n!/z_kappa times a character are integers, so every
+term is an integer polynomial. The content of the integer sum over
+z_kappa or n! becomes the rational scalar of the result, beside its
+primitive integer part (see coeffring.RationalFunction), so no
+coefficient is ever a Fraction.
 """
 
 from __future__ import annotations
@@ -60,10 +65,10 @@ from .symfunc import (
     _pairing_p_h,
     _scale_factor,
     e_elem,
-    m_to_p,
     mn_character,
     qt_factor,
     qt_pairing_scalar,
+    ribbon_sign,
 )
 
 _Q = Polynomial.var("q")
@@ -194,9 +199,10 @@ def _class_weighted(n, coeffs):
     return out
 
 
-def _filling_weights(mu, lam):
-    """(inv, maj) -> number of fillings of the diagram of mu whose content
-    is lam, i.e. the m_lam coefficient of the Haglund-Haiman-Loehr sum.
+def _standard_fillings(mu):
+    """mask -> {(inv, maj): count} over the n! standard fillings of the
+    diagram of mu by the letters 0..n-1, bucketed by inverse descent set:
+    bit i of mask is set when letter i+1 is read before letter i.
 
     The diagram is French: row i (from 1, the longest, at the bottom) holds
     the cells (i, 1..mu_i), and cells are read from the top row down, left
@@ -223,45 +229,48 @@ def _filling_weights(mu, lam):
         else:
             above.append(None)
     size = len(cells)
-    left = list(lam)
+    # used[size] stays False: no letter follows the last one
+    used = [False] * (size + 1)
     word = [0] * size
     out = {}
 
-    def place(k, inv, maj):
+    def place(k, inv, maj, mask):
         if k == size:
-            out[(inv, maj)] = out.get((inv, maj), 0) + 1
+            bucket = out.setdefault(mask, {})
+            bucket[(inv, maj)] = bucket.get((inv, maj), 0) + 1
             return
-        for letter, count in enumerate(left):
-            if not count:
+        for letter in range(size):
+            if used[letter]:
                 continue
-            left[letter] -= 1
+            used[letter] = True
             word[k] = letter
             d_inv = sum(1 for b in attacked[k] if word[b] > letter)
             d_maj = 0
             if above[k] is not None and word[above[k][0]] > letter:
                 d_inv -= above[k][1]
                 d_maj = above[k][2]
-            place(k + 1, inv + d_inv, maj + d_maj)
-            left[letter] += 1
+            # every placed letter is read before this one
+            place(k + 1, inv + d_inv, maj + d_maj, mask | used[letter + 1] << letter)
+            used[letter] = False
 
-    place(0, 0, 0)
+    place(0, 0, 0, 0)
     return out
 
 
 def _htilde_hhl(n, rho):
     """Power-sum coefficients of H~_rho from the combinatorial formula
-    H~_rho = sum over fillings sigma of q^inv t^maj x^sigma
-    (Haglund-Haiman-Loehr, J. Amer. Math. Soc. 18 (2005)), zeros dropped.
+    H~_rho = sum over standard fillings sigma of q^inv t^maj F_iDes(sigma)
+    (Haglund-Haiman-Loehr, J. Amer. Math. Soc. 18 (2005)), zeros dropped:
+    z_kappa H~_rho[kappa] = sum_D <F_D, p_kappa> times the bucket of D.
     Unchecked: MacdonaldTable certifies it."""
-    parts = partitions_of(n)
-    fillings = [(lam, Polynomial(("q", "t"), _filling_weights(rho, lam))) for lam in parts]
+    fillings = _standard_fillings(rho)
+    buckets = [(mask, Polynomial(("q", "t"), counts)) for mask, counts in fillings.items()]
     coeffs = {}
-    for kappa in parts:
-        z = kappa.z()
-        coeffs[kappa] = class_sum(
-            ((z * m_to_p(lam).get(kappa, 0), w) for lam, w in fillings), z
-        )
-    return {kappa: c for kappa, c in coeffs.items() if not c.is_zero()}
+    for kappa in partitions_of(n):
+        c = class_sum(((ribbon_sign(kappa, mask), w) for mask, w in buckets), kappa.z())
+        if not c.is_zero():
+            coeffs[kappa] = c
+    return coeffs
 
 
 def _verify_solution(n, rho, coeffs):

@@ -4,6 +4,9 @@ Everything is stored in the power-sum basis: the Hall pairing is diagonal
 there, Adams operators act by index scaling, and plethystic substitution
 becomes a ring-morphism extension. The other classical bases (monomial,
 elementary, complete, Schur) are views obtained through exact conversion.
+The monomial basis is read through the fundamental quasisymmetric
+functions F_D (m_to_p): each <F_D, p_kappa> is a sign or zero
+(ribbon_sign), so no transition matrix is inverted.
 
 A SymFunc with k alphabets maps keys, which are k-tuples of partitions
 (one power-sum index per alphabet), to nonzero coefficients.
@@ -22,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeffring import HookField, Polynomial, RationalFunction, rf
-from .linalg import invert_matrix
 from .partitions import Partition, partitions_of
 
 _DEGREE_CAP = 8
@@ -157,24 +159,54 @@ def _pairing_p_h(n):
     return out
 
 
-@lru_cache(maxsize=None)
-def _m_matrix(n):
-    """Rows of m_mu in the power-sum basis, as nested lists."""
-    parts = partitions_of(n)
-    pairing = _pairing_p_h(n)
-    # m is dual to h: m_mu = sum_k B[mu][k] p_k with B = M^{-1}, M[k][mu] = <p_k, h_mu>
-    inv = invert_matrix(
-        [[pairing.get((kappa, mu), Fraction(0)) for mu in parts] for kappa in parts]
-    )
-    return parts, inv
+def ribbon_sign(kappa, mask):
+    """<F_D, p_kappa>, for the fundamental quasisymmetric function F_D whose
+    descent set D is held in mask: bit i is set when i+1 is in D.
+
+    p_kappa is the commutative image of Psi_kappa_1 Psi_kappa_2 ..., and
+    Psi_m = sum_k (-1)^k R_(1^k, m-k) (Gelfand-Krob-Lascoux-Leclerc-
+    Retakh-Thibon, Adv. Math. 112 (1995)). A product of ribbons leaves the
+    position between two blocks free, so the pairing is (-1)^k when, inside
+    each block of kappa_i consecutive positions, the descents are the
+    block's first ones, k descents in all, and 0 otherwise.
+    """
+    sign = 1
+    for part in kappa:
+        block = mask & ((1 << (part - 1)) - 1)
+        if block & (block + 1):
+            return 0
+        if bin(block).count("1") % 2:
+            sign = -sign
+        mask >>= part
+    return sign
 
 
 @lru_cache(maxsize=None)
 def m_to_p(mu):
+    """m_mu in the power-sum basis, read through the fundamental basis.
+
+    m_mu is the sum of the monomial quasisymmetric M_alpha over the
+    compositions alpha that rearrange mu, and M_alpha is the sum over the
+    descent sets D containing that of alpha, S, of (-1)^|D - S| F_D
+    (Gessel); then z_kappa [p_kappa] m_mu = sum_D [F_D] m_mu <F_D, p_kappa>.
+    """
     mu = Partition(mu)
-    parts, inv = _m_matrix(mu.size)
-    row = inv[parts.index(mu)]
-    return {kappa: c for kappa, c in zip(parts, row) if c}
+    n = mu.size
+    full = (1 << max(n - 1, 0)) - 1
+    fundamental = {}
+    for s in range(full + 1):
+        cuts = [i + 1 for i in range(n - 1) if s >> i & 1]
+        if Partition(sorted((b - a for a, b in zip([0] + cuts, cuts + [n])), reverse=True)) != mu:
+            continue
+        for d in range(full + 1):
+            if d & s == s:
+                fundamental[d] = fundamental.get(d, 0) + (-1) ** bin(d ^ s).count("1")
+    out = {}
+    for kappa in partitions_of(n):
+        c = sum(f * ribbon_sign(kappa, d) for d, f in fundamental.items())
+        if c:
+            out[kappa] = Fraction(c, kappa.z())
+    return out
 
 
 def forgotten_to_p(mu):

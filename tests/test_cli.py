@@ -200,8 +200,9 @@ def test_tampered_kostka_entry_is_a_cache_miss(tmp_path, n):
         lambda doc: [doc],
         lambda doc: {**doc, "kostka": [[5] * len(row) for row in doc["kostka"]]},
         lambda doc: {**doc, "partitions": 5},
+        lambda doc: {**doc, "kostka": [["1/0*q"] + row[1:] for row in doc["kostka"]]},
     ],
-    ids=["top-level-list", "numeric-kostka-entry", "numeric-partitions"],
+    ids=["top-level-list", "numeric-kostka-entry", "numeric-partitions", "zero-denominator-entry"],
 )
 def test_cache_of_the_wrong_shape_is_a_cache_miss(tmp_path, capsys, reshape):
     path = cache_save(build_table(2), str(tmp_path))

@@ -54,10 +54,11 @@ def test_printing_graded_lex():
 def test_parse_round_trip_misc():
     for text in ["0", "1", "-1", "q + 1", "2*q^2*t - 1/3", "q^10"]:
         assert str(Polynomial.parse(text)) == str(Polynomial.parse(str(Polynomial.parse(text))))
-    with pytest.raises(ParseError):
-        Polynomial.parse("q +")
-    with pytest.raises(ParseError):
-        Polynomial.parse("")
+    # a dangling caret is not exponent 1, and a zero denominator is a
+    # parse error, not a ZeroDivisionError
+    for text in ["q +", "", "q^", "2*q^ + t", "1/0*q"]:
+        with pytest.raises(ParseError):
+            Polynomial.parse(text)
 
 
 def test_normalize_fraction_examples():

@@ -226,24 +226,28 @@ def _integer_polynomial(val):
 
 
 def test_triple_factor_coefficients_are_integer_polynomials():
-    # evidence for integrality with three factors: exhaustive through
-    # degree 4, sampled triples at degree 5
-    from qtsym.kostka_algebra import structure_coefficients_all
-
+    # evidence for integrality with three factors, exhaustive through
+    # degree 4; degree 5 is in the sweep below
     for n in range(1, 5):
         for factors in combinations_with_replacement(partitions_of(n), 3):
             for val in structure_coefficients_all(list(factors)).values():
                 assert _integer_polynomial(val), factors
-    parts5 = partitions_of(5)
-    samples = [
-        (parts5[0], parts5[3], parts5[5]),
-        (parts5[1], parts5[1], parts5[6]),
-        (parts5[2], parts5[4], parts5[4]),
-        (parts5[6], parts5[6], parts5[6]),
-    ]
-    for factors in samples:
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (5, 3)])
+def test_structure_coefficients_are_symmetric_integer_polynomials_of_bounded_degree(n, k):
+    # every pair at n=6 and every triple at n=5: the coefficients are traces,
+    # so integer polynomials; H~_mu'(q,t) = H~_mu(t,q) makes them symmetric
+    # under q <-> t; and the degree in each of q and t is at most
+    # (k-1) n(n-1)/2 for k factors (triples at n=5 reach 20, four factors
+    # at n=4 reach 18, so the pair bound n(n-1)/2 does not hold for more)
+    bound = (k - 1) * n * (n - 1) // 2
+    for factors in combinations_with_replacement(partitions_of(n), k):
         for val in structure_coefficients_all(list(factors)).values():
             assert _integer_polynomial(val), factors
+            poly = val.as_polynomial()
+            assert poly.rename({"q": "t", "t": "q"}) == poly, factors
+            assert max(poly.degree_in("q"), poly.degree_in("t")) <= bound, factors
 
 
 def test_nabla_pairing_is_column_coefficient():

@@ -1,14 +1,16 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from qtsym.coeffring import P_ZERO, Polynomial, RationalFunction, poly_gcd, rf
-from qtsym.linalg import SingularSystem, invert_matrix, solve_bareiss
+from qtsym.linalg import SingularSystem, solve_bareiss
 from qtsym.partitions import Partition, dominance_leq, partitions_of
 from qtsym.plethysm import AlphabetExpr, substitute
 from qtsym.macdonald import (
     MacdonaldTable,
+    _standard_fillings,
     _verify_solution,
     build_table,
     class_sum,
@@ -43,16 +45,6 @@ def test_solve_bareiss_small():
         solve_bareiss([[q, q], [q, q]], [Polynomial.const(1), Polynomial.const(0)])
 
 
-def test_invert_matrix_over_fractions():
-    # a row swap is needed: the first pivot column starts with a zero
-    rows = [[0, 2], [Fraction(1, 2), 1]]
-    inv = invert_matrix(rows)
-    assert inv == [[-1, 2], [Fraction(1, 2), 0]]
-    assert all(isinstance(x, Fraction) for row in inv for x in row)
-    with pytest.raises(SingularSystem):
-        invert_matrix([[1, 2], [Fraction(1, 2), 1]])
-
-
 def test_degree_one_and_two_tables():
     t1 = build_table(1)
     assert t1.htilde_p_dict(P(1)) == {P(1): rf(1)}
@@ -81,6 +73,49 @@ def test_monomial_coefficients_at_q_t_one_are_multinomials():
                 for part in lam:
                     expected //= math.factorial(part)
                 assert value == expected, (mu, lam)
+
+
+def _filling_counts(mu, lam):
+    # (inv, maj) -> number of fillings of the French diagram of mu with
+    # lam_j copies of letter j, from the definitions of Haglund-Haiman-Loehr:
+    # cells are read from the top row down, left to right; two cells attack
+    # in one row, or in adjacent rows with the upper one strictly right;
+    # a descent is a cell with a larger letter than the cell below it
+    cells = [(i, j) for i in range(len(mu), 0, -1) for j in range(1, mu[i - 1] + 1)]
+    letters = [j for j, part in enumerate(lam) for _ in range(part)]
+    out = {}
+    for word in set(permutations(letters)):
+        letter = dict(zip(cells, word))
+        inv = sum(
+            1
+            for a, (i1, j1) in enumerate(cells)
+            for i2, j2 in cells[a + 1 :]
+            if (i1 == i2 or (i1 == i2 + 1 and j1 > j2)) and letter[(i1, j1)] > letter[(i2, j2)]
+        )
+        maj = 0
+        for i, j in cells:
+            if i > 1 and letter[(i, j)] > letter[(i - 1, j)]:
+                inv -= mu.arm(i, j)
+                maj += mu.leg(i, j) + 1
+        out[(inv, maj)] = out.get((inv, maj), 0) + 1
+    return out
+
+
+def test_standard_filling_buckets_sum_to_the_fillings_of_each_content():
+    # standardizing equal letters in reading order keeps inv and maj, so the
+    # fillings of content lam are the standard fillings whose inverse descent
+    # set lies inside S(lam) = {lam_1, lam_1 + lam_2, ...}
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            buckets = _standard_fillings(mu)
+            for lam in partitions_of(n):
+                inside = sum(1 << (sum(lam[: r + 1]) - 1) for r in range(len(lam) - 1))
+                total = {}
+                for mask, counts in buckets.items():
+                    if mask & ~inside == 0:
+                        for key, c in counts.items():
+                            total[key] = total.get(key, 0) + c
+                assert total == _filling_counts(mu, lam), (mu, lam)
 
 
 def test_kostka_hook_row_is_diagram_generator_minus_one():

@@ -21,6 +21,7 @@ from qtsym.symfunc import (
     p_elem,
     pair_alphabet,
     qt_pairing_scalar,
+    ribbon_sign,
     s_elem,
     tensor_hall_scalar,
 )
@@ -29,25 +30,19 @@ q = rf(Polynomial.var("q"))
 t = rf(Polynomial.var("t"))
 
 
-def _num_syt(shape):
-    # standard Young tableaux counted by brute force placement
+def _standard_tableaux(shape):
+    # each standard Young tableau of shape, as the row (from 0, longest
+    # first) of each entry 1..n, by brute-force placement
     shape = tuple(shape)
-    if not shape:
-        return 1
 
-    def rec(filled):
-        total = sum(filled)
-        if total == sum(shape):
-            return 1
-        out = 0
+    def rec(filled, rows):
+        if len(rows) == sum(shape):
+            yield rows
         for i, row in enumerate(shape):
             if filled[i] < row and (i == 0 or filled[i - 1] > filled[i]):
-                nxt = list(filled)
-                nxt[i] += 1
-                out += rec(tuple(nxt))
-        return out
+                yield from rec(filled[:i] + (filled[i] + 1,) + filled[i + 1 :], rows + (i,))
 
-    return rec((0,) * len(shape))
+    return rec((0,) * len(shape), ())
 
 
 def test_mn_character_examples():
@@ -60,9 +55,23 @@ def test_mn_character_examples():
     for n in range(1, 7):
         ones = Partition((1,) * n)
         for lam in partitions_of(n):
-            assert mn_character(lam, ones) == _num_syt(lam)
+            assert mn_character(lam, ones) == len(list(_standard_tableaux(lam)))
     with pytest.raises(ValueError):
         mn_character(Partition((2, 1)), Partition((2,)))
+
+
+def test_ribbon_signs_of_tableau_descents_sum_to_the_characters():
+    # s_lam = sum over standard tableaux T of F_Des(T) (Gessel), where i is
+    # a descent of T when i+1 lies in a lower row than i; so the ribbon
+    # signs <F_Des(T), p_kappa> sum to <s_lam, p_kappa> = chi^lam_kappa
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            masks = [
+                sum(1 << i for i in range(n - 1) if rows[i + 1] > rows[i])
+                for rows in _standard_tableaux(lam)
+            ]
+            for kappa in partitions_of(n):
+                assert sum(ribbon_sign(kappa, m) for m in masks) == mn_character(lam, kappa), (lam, kappa)
 
 
 def test_character_orthogonality():
