@@ -26,10 +26,10 @@ RationalFunction adds and multiplies by Henrici's rule (Knuth, TAOCP
 vol. 2, 4.5.1). With g = gcd(d1, d2), n1/d1 + n2/d2 is
 (n1 d2/g + n2 d1/g) / (d1/g * d2/g * g), and a common factor of that
 numerator and denominator can only divide g, because the inputs are
-reduced and d1/g, d2/g are coprime; so only g is reduced against. A
-product cross-cancels prim1 against d2 and prim2 against d1, and
-multiplies the scalars; a constant factor made by const or rf only
-scales the scalar.
+reduced and d1/g, d2/g are coprime; so only g is reduced against, and
+two polynomials (d1 = d2 = 1) are added with no gcd. A product
+cross-cancels prim1 against d2 and prim2 against d1, and multiplies the
+scalars; a constant factor made by const or rf only scales the scalar.
 
 RationalFunction reduces by poly_gcd, through gcd_cofactors. Gcds in two
 indeterminates, which is all of the engine's (q,t) and (Z,W) traffic,
@@ -59,6 +59,17 @@ coefficient is +-1 (one term, or Phi_d(y) for a factor in y alone), so
 no step divides a coefficient; a factor without one, or a third
 indeterminate, raises ValueError. split_counts() tells how many of its
 divisions succeeded and failed.
+
+factored_sum leaves its denominator's multiplicities on the
+RationalFunction it makes, so a later sum or product reads them with no
+division. The plethystic Log and Exp (plethysm) carry such coefficients
+as unreduced sums of (scalar, prim, mult) terms, _TermSum, with no gcd:
+a product of two terms divides each prim by the other's factors
+(split_factors) and adds the multiplicities (split_product); psi_n of a
+factor of binomial_factors(x, a, y, b) divides x^(na) - y^(nb), so it is
+split once over binomial_factors(x, na, y, nb) and memoized, and psi_n
+keeps coprime polynomials coprime, so an Adams image of a reduced term
+stays reduced; factored_sum adds the terms once, at the end.
 
 Values are immutable after construction and safe to share between
 threads; the gcd path and split counts are process-wide diagnostics.
@@ -1113,7 +1124,7 @@ class RationalFunction:
     over prim 0 and den 1. num = scalar * prim is built on first use.
     """
 
-    __slots__ = ("scalar", "prim", "den", "_num", "_hash")
+    __slots__ = ("scalar", "prim", "den", "_num", "_hash", "_mult")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
@@ -1127,6 +1138,7 @@ class RationalFunction:
         self.scalar, self.prim, self.den = _reduce_fraction(num, den)
         self._num = None
         self._hash = None
+        self._mult = None
 
     @property
     def num(self):
@@ -1186,7 +1198,10 @@ class RationalFunction:
         # Henrici's rule: with a1 = d1/g and a2 = d2/g, a common factor of
         # num and a1*a2*g can only divide g (see the module docstring).
         s, k1, k2 = _join_scalars(self.scalar, other.scalar)
-        g, a1, a2 = gcd_cofactors(self.den, other.den)
+        if self.den.is_constant() and other.den.is_constant():
+            g = a1 = a2 = P_ONE
+        else:
+            g, a1, a2 = gcd_cofactors(self.den, other.den)
         num = (self.prim * a2).scale(k1) + (other.prim * a1).scale(k2)
         if num.is_zero():
             return RF_ZERO
@@ -1361,6 +1376,7 @@ def _make(scalar, prim, den):
     r.den = den
     r._num = None
     r._hash = None
+    r._mult = None
     return r
 
 
@@ -1700,7 +1716,8 @@ def factored_sum(terms):
     per-factor minimum, the cofactors d1/g and d2/g are products of known
     factors, and only the factors of g, at most their multiplicity in g,
     are divided out of the new numerator (split_factors). No gcd is taken,
-    and the denominator is multiplied out once, at the end.
+    and the denominator is multiplied out once, at the end; its mult stays
+    on the result, for _term_sum. A mult dict is never changed once made.
     """
     s, num, den = 0, P_ZERO, {}
     for s2, num2, den2 in terms:
@@ -1726,7 +1743,9 @@ def factored_sum(terms):
         den = {f: m for f, m in lcm.items() if m}
     if not s:
         return RF_ZERO
-    return _make(s, num, _factor_product(den, {}))
+    out = _make(s, num, _factor_product(den, {}))
+    out._mult = den
+    return out
 
 
 def _factor_product(mult, minus):
@@ -1737,6 +1756,156 @@ def _factor_product(mult, minus):
         if m:
             out = out * f**m
     return out
+
+
+def _factored_product(x, y):
+    """The product of two terms of factored_sum, reduced: each prim is
+    divided by the other term's factors (split_factors) and split_product
+    multiplies what is left. The factors are those of binomial_factors,
+    none of them one term, so a prim of one term is left as it is."""
+    if not x[0] or not y[0]:
+        return 0, P_ZERO, {}
+    (s1, p1, m1), (s2, p2, m2) = x, y
+    p1, k1 = _cancel(p1, m2)
+    p2, k2 = _cancel(p2, m1)
+    return split_product((s1, p1, _less(m1, k2)), (s2, p2, _less(m2, k1)))
+
+
+def _cancel(p, mult):
+    """split_factors of p against the factors of mult, p itself when it is one term."""
+    return split_factors(p, mult.items()) if mult and len(p.terms) > 1 else (p, {})
+
+
+def _less(mult, minus):
+    """The multiplicities of mult less those of minus, zeros left out."""
+    return {f: m - minus.get(f, 0) for f, m in mult.items() if m > minus.get(f, 0)} if minus else mult
+
+
+@lru_cache(maxsize=None)
+def _binomial_of(f, names):
+    """(x, a, y, b) with f one of binomial_factors(x, a, y, b), or None, for
+    names = f.vars = (x, y). names keys the cache: polynomials that differ
+    only by an unused name are equal. Such an f is Phi_e(x^i, y^j)
+    homogenized, i and j coprime: its degrees are i phi(e) in x and
+    j phi(e) in y, and phi(e) >= sqrt(e / 2)."""
+    if len(names) != 2:
+        return None
+    x, y = names
+    dx, dy = f.degree_in(x), f.degree_in(y)
+    g = _int_gcd(dx, dy)
+    for e in range(1, 2 * g * g + 2):
+        if sum(_int_gcd(k, e) == 1 for k in range(1, e + 1)) == g:
+            args = (x, dx // g * e, y, dy // g * e)
+            if f in binomial_factors(*args)[1]:
+                return args
+    return None
+
+
+@lru_cache(maxsize=None)
+def _adams_factors(f, n):
+    """(unit, factors) with psi_n(f) = unit * prod(factors), unit 1 or -1,
+    for f one of binomial_factors(x, a, y, b): psi_n(f) divides
+    x^(na) - y^(nb), so its factors are among those of
+    binomial_factors(x, na, y, nb), each once."""
+    x, a, y, b = _binomial_of(f, f.vars)
+    factors = binomial_factors(x, n * a, y, n * b)[1]
+    cofactor, found = split_factors(f.raise_exponents(n), [(g, 1) for g in factors])
+    return cofactor.constant_value(), tuple(found)
+
+
+def _factored_adams(n, x):
+    """psi_n of a term of factored_sum, reduced: psi_n keeps coprime
+    polynomials coprime, and each factor goes to its split."""
+    s, p, mult = x
+    den = {}
+    for f, m in mult.items():
+        unit, factors = _adams_factors(f, n)
+        s *= unit**m
+        for g in factors:
+            den[g] = den.get(g, 0) + m
+    return s, p.raise_exponents(n), den
+
+
+class _TermSum:
+    """An unreduced sum of terms of factored_sum: a coefficient of the
+    plethystic Log and Exp on their split path (plethysm). Sums join the
+    terms, a product multiplies every pair of them (_factored_product),
+    raise_exponents maps each one (_factored_adams), and _total adds them
+    once, by factored_sum. No gcd is taken. A HookField holds two, as its
+    base and eps parts, so its own rules multiply and raise them."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def is_zero(self):
+        # known to be zero only without terms; _total drops a zero sum
+        return not self.terms
+
+    def __add__(self, other):
+        other = _as_term_sum(other)
+        return NotImplemented if other is None else _TermSum(self.terms + other.terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _TermSum(tuple((-s, p, m) for s, p, m in self.terms))
+
+    def __mul__(self, other):
+        other = _as_term_sum(other)
+        if other is None:
+            return NotImplemented
+        return _TermSum(tuple(_factored_product(x, y) for x in self.terms for y in other.terms))
+
+    __rmul__ = __mul__
+
+    def raise_exponents(self, n):
+        return _TermSum(tuple(_factored_adams(n, x) for x in self.terms))
+
+
+def _as_term_sum(c):
+    """c as a _TermSum when it is one or a RationalFunction that splits, else None."""
+    return _term_sum(c) if isinstance(c, RationalFunction) else c if isinstance(c, _TermSum) else None
+
+
+def _term_sum(c):
+    """The coefficient c as a _TermSum, a HookField of two for a HookField,
+    or None when a denominator of c is not constant and carries no
+    factors, as factored_sum leaves them."""
+    if isinstance(c, HookField):
+        parts = (_term_sum(c.base), _term_sum(c.odd))
+        return None if parts[0] is None or parts[1] is None else HookField(*parts)
+    if not c.scalar:
+        return _TermSum(())
+    if c.den.is_constant():
+        return _TermSum(((c.scalar, c.prim, {}),))
+    return None if c._mult is None else _TermSum(((c.scalar, c.prim, c._mult),))
+
+
+def _total(c):
+    """The coefficient that c stands for: each _TermSum added up by
+    factored_sum, a HookField part by part; a coefficient as it is."""
+    if isinstance(c, HookField):
+        return HookField(_total(c.base), _total(c.odd))
+    return factored_sum(c.terms) if isinstance(c, _TermSum) else c
+
+
+def _splittable(coefficients):
+    """Whether every coefficient has a _term_sum whose products and Adams
+    images need no gcd: each carried factor is one of binomial_factors,
+    and where any is carried, prims and factors use at most two
+    indeterminates together, as split_factors needs."""
+    names = set()
+    carried = False
+    for c in coefficients:
+        for r in (c.base, c.odd) if isinstance(c, HookField) else (c,):
+            names.update(r.prim.vars, r.den.vars)
+            if not r.den.is_constant():
+                if r._mult is None or not all(_binomial_of(f, f.vars) for f in r._mult):
+                    return False
+                carried = True
+    return not carried or len(names) <= 2
 
 
 # -- quadratic extension for the genus-g hook numerators ----------------------
@@ -1751,8 +1920,9 @@ class HookField:
     __slots__ = ("base", "odd")
 
     def __init__(self, base, odd=None):
-        self.base = rf(base)
-        self.odd = rf(odd) if odd is not None else RF_ZERO
+        # a _TermSum part stays unreduced until _total
+        self.base = base if isinstance(base, _TermSum) else rf(base)
+        self.odd = RF_ZERO if odd is None else odd if isinstance(odd, _TermSum) else rf(odd)
 
     def is_zero(self):
         return self.base.is_zero() and self.odd.is_zero()
@@ -1763,8 +1933,8 @@ class HookField:
     def _coerce(self, other):
         if isinstance(other, HookField):
             return other
-        if isinstance(other, (int, Fraction, Polynomial, RationalFunction)):
-            return HookField(rf(other))
+        if isinstance(other, (int, Fraction, Polynomial, RationalFunction, _TermSum)):
+            return HookField(other)
         return None
 
     def __add__(self, other):

@@ -27,7 +27,8 @@ the orbit (plethysm.spread). The Log (plethysm.log_step) and the
 (Z-1)(1-W) scaling of the kernel are computed once per orbit in the same
 way. Storage stays dense over all alphabet keys.
 
-No coefficient of the series takes a gcd. The denominator of every
+No coefficient of the series, of its Log or Exp or of a kernel takes a
+gcd. The denominator of every
 weight is the norm a_lam, whose irreducible factors are known in closed
 form (macdonald.norm_factors). Each Macdonald coefficient and each part
 of the hook numerator is split once per partition into a cofactor times
@@ -35,7 +36,10 @@ powers of those factors (coeffring.split_factors). A term multiplies
 cofactors and adds multiplicities (coeffring.split_product), keeping in
 its denominator only the factors it has fewer times than a_lam
 (coeffring.split_over), and the terms of an orbit are added over the
-factors by Henrici's rule (coeffring.factored_sum).
+factors by Henrici's rule (coeffring.factored_sum), which leaves the
+multiplicities on each coefficient. The Log and Exp read them and run on
+coeffring splits (see plethysm), and so does the (Z-1)(1-W) scaling:
+every denominator there is a product of Adams images of norm factors.
 hook_factor is the term of the empty key, from the same split parts.
 
 The series components and the Log components (one memo entry per
@@ -56,6 +60,8 @@ from .coeffring import (
     HookField,
     Polynomial,
     RationalFunction,
+    _term_sum,
+    _total,
     factored_sum,
     rf,
     split_factors,
@@ -64,7 +70,7 @@ from .coeffring import (
 )
 from .macdonald import build_table, derived, norm_factors
 from .partitions import Partition
-from .plethysm import Series, log_step, orbit_filter, sorted_key, spread
+from .plethysm import Series, _split_path, log_step, orbit_filter, sorted_key, spread
 from .symfunc import SymFunc
 
 _Z = Polynomial.var("Z")
@@ -190,7 +196,7 @@ def _log_component(genus, points, d):
     H = cauchy_series(genus, points, d)
     lower = [(None, SymFunc.zero(points))] + [_log_component(genus, points, j) for j in range(1, d)]
     P, G = zip(*lower)
-    return log_step(H.comps, P, G, d, orbit_filter(H))
+    return log_step(H.comps, P, G, d, orbit_filter(H), _split_path(H))
 
 
 @derived
@@ -220,7 +226,9 @@ def _kernel(n, genus, points, point):
         # once per orbit: the Log is symmetric under permuting the alphabets
         scale = rf((_Z - 1) * (1 - _W))
         terms = _log_component(genus, points, n)[1].terms
-        return spread({rep: c * scale for rep, c in terms.items() if sorted_key(rep)}, points)
+        # the Log's coefficients carry their factors (plethysm._split_path)
+        scaled = {rep: _total(_term_sum(c) * scale) for rep, c in terms.items() if sorted_key(rep)}
+        return spread(scaled, points)
     return specialize_kernel(kernel(n, genus, points), *point)
 
 

@@ -472,6 +472,43 @@ def test_factored_sum_matches_rational_addition():
     assert factored_sum([]).is_zero()
 
 
+def test_factored_products_and_adams_images_match_rational_arithmetic():
+    # a product cross-cancels each prim against the other term's factors,
+    # and psi_n takes each factor to its split: factored_sum then makes the
+    # reduced RationalFunction, carrying its denominator's factors
+    rng = random.Random(20261020)
+    for _ in range(150):
+        x, y = _factored_term(rng), _factored_term(rng)
+        if not (x and y):
+            continue
+        n = rng.randint(2, 4)
+        for term, want in (
+            (coeffring._factored_product(x[0], y[0]), x[1] * y[1]),
+            (coeffring._factored_adams(n, x[0]), x[1].raise_exponents(n)),
+        ):
+            got = _check_factored_sum([term], [want])
+            assert coeffring._factor_product(got._mult, {}) == got.den
+            _assert_canonical(got)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_adams_images_of_norm_factors_split_over_binomial_factors(n):
+    # psi_m(f), for every factor f of a norm at n and every m <= 5, is +-1
+    # times its memoized split, and split_factors divides by every factor
+    # of that split: each is +-1-led, as the norm factors are
+    for lam in partitions_of(n):
+        for (x, y), (_, factors) in ((("q", "t"), norm_factors(lam)), (("Z", "W"), _norm_zw(lam))):
+            for f, _ in factors:
+                for m in range(1, 6):
+                    unit, split = coeffring._adams_factors(f, m)
+                    product = P_ONE
+                    for g in split:
+                        product = product * g
+                        assert _lead_of_top(g, x, y) in (1, -1), g
+                        assert split_factors(g, [(g, 1)])[1] == {g: 1}
+                    assert unit in (1, -1) and f.raise_exponents(m) == product.scale(unit), (f, m)
+
+
 def test_rational_function_parse_round_trip():
     samples = [
         normalize_fraction(q + 1, (q - t) * (t + 2)),
@@ -712,6 +749,23 @@ def test_scalar_product_agrees_with_the_general_product(case, c):
     for got, want in ((x * scalar, x * general), (scalar * x, general * x)):
         assert got == want and repr(got) == repr(want)
         _assert_canonical(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, small_polys, _fractions, _fractions)
+def test_constant_denominator_sum_agrees_with_the_general_sum(a, b, c1, c2):
+    # two operands over 1 are added with no gcd; the same sum through
+    # operands over q - t takes the general path, and the constructor
+    # reduces the plain sum
+    x, y = RationalFunction(a.scale(c1)), RationalFunction(b.scale(c2))
+    before = gcd_path_counts()
+    got = x + y
+    assert gcd_path_counts() == before
+    w = rf(1) / rf(q - t)
+    for want in (((x + w) + y) - w, RationalFunction(a.scale(c1) + b.scale(c2))):
+        assert got == want and repr(got) == repr(want)
+    assert got.den == P_ONE
+    _assert_canonical(got)
 
 
 def _assert_canonical(x):

@@ -309,19 +309,30 @@ def test_specialized_kernels_are_cached_per_point_and_cleared():
     assert fresh == at_v
 
 
-def test_cauchy_series_takes_no_prs_fallback():
-    # the (degree 4, genus 1, one alphabet) series of the kernel-assembly
-    # benchmark: no gcd at all, and its Log takes bivariate gcds only
+# the (n, genus, points) kernels of the kernel-assembly benchmark
+ASSEMBLY_CASES = [
+    (n, g, k)
+    for n in (1, 2, 3)
+    for g in (0, 1)
+    for k in (1, 2, 3, 4)
+    if not (n == 3 and g == 1 and k > 2)
+] + [(4, 1, 1)]
+
+
+def test_cauchy_series_log_kernel_and_exp_take_no_gcd():
+    # the kernel-assembly cases: the series sums over the norm factors,
+    # and the Log, the (Z-1)(1-W) scaling and the Exp run on the factors
+    # the series carries, HookField coefficients included, with no gcd
     for d in range(1, 5):
         build_table(d)
     register_table(build_table(4))  # drops every derived memo, keeps the tables
     before = gcd_path_counts()
-    cauchy_series(1, 1, 4)
+    series = {(n, g, k): cauchy_series(g, k, n) for n, g, k in ASSEMBLY_CASES}
     assert gcd_path_counts() == before
-    log_cauchy_series(1, 1, 4)
-    after = gcd_path_counts()
-    assert after["bivariate"] > before["bivariate"]
-    assert after["prs"] == before["prs"]
+    for n, g, k in ASSEMBLY_CASES:
+        kernel(n, g, k)
+        assert exp_series(log_cauchy_series(g, k, n)) == series[(n, g, k)]
+    assert gcd_path_counts() == before
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtsym import plethysm
-from qtsym.coeffring import Polynomial, RationalFunction, rf
+from qtsym import coeffring, plethysm
+from qtsym.coeffring import Polynomial, factored_sum, rf
 from qtsym.kernel import cauchy_series, kernel, log_cauchy_series
 from qtsym.partitions import Partition, partitions_of
 from qtsym.plethysm import (
@@ -240,14 +240,18 @@ LOG_CASES = [
 
 @pytest.mark.parametrize("genus,points,cap", LOG_CASES)
 def test_log_cauchy_series_and_its_exp_match_the_references(genus, points, cap):
-    # the Log, kernel and Exp computed once per orbit against the dense
-    # references, in value and in repr
+    # the Log, kernel and Exp computed once per orbit on coeffring splits,
+    # against the dense references, in value and in repr
     H = cauchy_series(genus, points, cap)
+    paths = dict(plethysm._PATHS)
     L = log_cauchy_series(genus, points, cap)
+    assert log_series(H) == L
     want = reference_log(H)
     Z, W = Polynomial.var("Z"), Polynomial.var("W")
     want_kernel = want.component(cap) * rf((Z - 1) * (1 - W))
     E = exp_series(L)
+    assert plethysm._PATHS["split"] >= paths["split"] + 2
+    assert plethysm._PATHS["rational"] == paths["rational"]
     for got, ref in ((L, want), (kernel(cap, genus, points), want_kernel), (E, reference_exp(L))):
         assert got == ref and repr(got) == repr(ref)
     assert E == H
@@ -277,6 +281,28 @@ def test_non_symmetric_series_run_on_every_key():
         assert exp_series(L) == reference_exp(L) == H
 
 
+def test_series_without_carried_factors_take_the_rational_path():
+    # a denominator made by division carries no factors, and a third
+    # indeterminate beside carried (q, t) factors defeats split_factors:
+    # both series run on RationalFunction arithmetic; a series whose
+    # coefficients factored_sum made takes the split path
+    f = Polynomial.var("q") - Polynomial.var("t")
+    x, y = Polynomial.var("q"), Polynomial.var("u")
+    for c, cc, path in (
+        (q / rf(f), (q / rf(f)) ** 2, "rational"),
+        (factored_sum([(1, y, {f: 1})]), factored_sum([(1, y * y, {f: 2})]), "rational"),
+        (factored_sum([(1, x, {f: 1})]), factored_sum([(1, x * x, {f: 2})]), "split"),
+    ):
+        H = _two_alphabet_series([{((1,), ()): c, ((), (1,)): c}, {((1,), (1,)): cc}])
+        before = dict(plethysm._PATHS)
+        L = log_series(H)
+        E = exp_series(L)
+        assert plethysm._PATHS[path] == before[path] + 2
+        want = reference_log(H)
+        assert L == want and repr(L) == repr(want)
+        assert E == reference_exp(L) == H
+
+
 def test_log_and_exp_make_one_product_per_newton_term(monkeypatch):
     # Newton's d H_d = sum_j P_j H_{d-j} multiplies d - 1 pairs of
     # components in degree d: cap (cap - 1) / 2 products in all
@@ -298,18 +324,19 @@ def test_log_and_exp_make_one_product_per_newton_term(monkeypatch):
 
 def test_orbit_products_make_fewer_coefficient_products(monkeypatch):
     # four alphabets: computing one key per orbit multiplies fewer
-    # coefficients than the loops over every key, for the same Log and Exp
+    # coefficient terms than the loops over every key, for the same Log
+    # and Exp, on coeffring splits
     count = [0]
-    mul = RationalFunction.__mul__
+    mul = coeffring._factored_product
 
-    def counting(self, other):
+    def counting(x, y):
         count[0] += 1
-        return mul(self, other)
+        return mul(x, y)
 
     H = cauchy_series(0, 4, 3)
     assert orbit_filter(H) is sorted_key
     assert orbit_filter(log_cauchy_series(0, 4, 3)) is sorted_key
-    monkeypatch.setattr(RationalFunction, "__mul__", counting)
+    monkeypatch.setattr(coeffring, "_factored_product", counting)
 
     def log_and_exp():
         count[0] = 0
