@@ -50,15 +50,20 @@ A fraction over known irreducible factors, such as a Macdonald norm
 (macdonald.norm_factors), takes no gcd: split_factors, the one trial
 division, splits a polynomial into a cofactor times powers of the
 factors, split_product and split_over multiply such splits and put them
-over the norm, and factored_sum adds them by Henrici's rule.
-split_factors turns the polynomial once into sparse integer rows in x
+over the norm, and factored_sum adds them by Henrici's rule. A factor
+shared by two denominators can divide their sum only where its two
+multiplicities are equal, so factored_sum trial-divides only those; each
+multiplied-out product of factor powers is made once and memoized, and
+the numerator's content is split off once per sum. split_factors turns
+the polynomial once into sparse integer rows in x
 over Z[y], x the first of its at most two indeterminates, the same rows
 Brown's gcd uses, and divides every factor there. The top power x^D of
 each factor of binomial_factors has a coefficient in y whose top
 coefficient is +-1 (one term, or Phi_d(y) for a factor in y alone), so
 no step divides a coefficient; a factor without one, or a third
 indeterminate, raises ValueError. split_counts() tells how many of its
-divisions succeeded and failed.
+divisions succeeded and failed, and how many factors factored_sum left
+untried.
 
 factored_sum leaves its denominator's multiplicities on the
 RationalFunction it makes, so a later sum or product reads them with no
@@ -69,7 +74,9 @@ a product of two terms divides each prim by the other's factors
 factor of binomial_factors(x, a, y, b) divides x^(na) - y^(nb), so it is
 split once over binomial_factors(x, na, y, nb) and memoized, and psi_n
 keeps coprime polynomials coprime, so an Adams image of a reduced term
-stays reduced; factored_sum adds the terms once, at the end.
+stays reduced; factored_sum adds the terms once, at the end. The Hall
+pairing (symfunc.tensor_hall_scalar) adds such coefficients, times
+integer weights, by factored_sum too.
 
 Values are immutable after construction and safe to share between
 threads; the gcd path and split counts are process-wide diagnostics.
@@ -599,16 +606,18 @@ P_ONE = Polynomial.const(1)
 
 def _hash_scaled(p, s=1):
     """The hash of the polynomial s * p, read off p: a constant hashes as
-    its value, any other polynomial as its support and the reduced
+    its value, any other polynomial as its support, the reduced
     numerator and denominator of its coefficient at the lexicographically
-    largest exponent, so no product and no Fraction is formed."""
+    largest exponent, and whether the coefficient at the smallest has the
+    same sign, so no product and no Fraction is formed. The sign keeps
+    apart factors of one support, such as x - 1 and x + 1."""
     c = p.canonical()
     if not c.vars:
         return hash(s * c.terms.get((), 0))
     k = c.terms[max(c.terms)]
     n, d = s.numerator * k.numerator, s.denominator * k.denominator
     g = _int_gcd(n, d)
-    return hash((c.vars, frozenset(c.terms), n // g, d // g))
+    return hash((c.vars, frozenset(c.terms), n // g, d // g, (c.terms[min(c.terms)] > 0) == (k > 0)))
 
 
 def _power(base, n, one):
@@ -1535,13 +1544,16 @@ def binomial_factors(x, a, y, b):
     return unit, tuple(factors)
 
 
-# How many row divisions split_factors made; read through split_counts().
-_SPLITS = dict.fromkeys(("divided", "failed"), 0)
+# How many row divisions split_factors made, and how many factors
+# factored_sum left untried; read through split_counts().
+_SPLITS = dict.fromkeys(("divided", "failed", "skipped"), 0)
 
 
 def split_counts():
     """Snapshot of split_factors' exact divisions since import: 'divided'
-    by a factor that divides, 'failed' where the factor does not."""
+    by a factor that divides, 'failed' where the factor does not, and
+    'skipped': the factors common to two denominators that factored_sum
+    did not try because their multiplicities differ."""
     return dict(_SPLITS)
 
 
@@ -1709,15 +1721,22 @@ def factored_sum(terms):
     (scalar, prim, mult) triples, mult a dict f -> m > 0, as a reduced
     RationalFunction.
 
-    Each prim is a primitive integer polynomial with positive leading
-    coefficient, coprime to every f of its mult, and the f are distinct
-    irreducible polynomials of that form; a zero scalar is a zero term.
-    Terms are added by Henrici's rule on the multiplicities: g is the
-    per-factor minimum, the cofactors d1/g and d2/g are products of known
-    factors, and only the factors of g, at most their multiplicity in g,
-    are divided out of the new numerator (split_factors). No gcd is taken,
-    and the denominator is multiplied out once, at the end; its mult stays
-    on the result, for _term_sum. A mult dict is never changed once made.
+    Each prim is an integer polynomial coprime to every f of its mult,
+    and the f are distinct irreducible polynomials, primitive with
+    positive leading coefficient; a zero scalar is a zero term. Terms are
+    added by Henrici's rule on the multiplicities: g is the per-factor
+    minimum, and the cofactors d1/g and d2/g are products of known
+    factors, multiplied out once per distinct product (_power_product).
+    No gcd is taken. A factor f of g can divide the new numerator
+    n1 (d2/g) + n2 (d1/g) only where its multiplicities m1, m2 in d1 and
+    d2 are equal: if m1 > m2, f divides d1/g and so n2 (d1/g), while n1
+    and d2/g are prime to f, so f does not divide the sum. So only the
+    factors of equal multiplicity are divided out (split_factors), at
+    most that many times; the others are counted as skipped in
+    split_counts(). Every factor has a top coefficient led by +-1, so the
+    numerator stays integral, and its content is split off once, at the
+    end, as is the denominator multiplied out; its mult stays on the
+    result, for _term_sum. A mult dict is never changed once made.
     """
     s, num, den = 0, P_ZERO, {}
     for s2, num2, den2 in terms:
@@ -1726,35 +1745,45 @@ def factored_sum(terms):
         if not s:
             s, num, den = _normc(s2), num2, den2
             continue
-        g = {f: min(m, den2[f]) for f, m in den.items() if f in den2}
+        g, equal = {}, []
+        for f, m in den.items():
+            m2 = den2.get(f)
+            if m2:
+                g[f] = min(m, m2)
+                if m == m2:
+                    equal.append((f, m))
+        _SPLITS["skipped"] += len(g) - len(equal)
         s, k1, k2 = _join_scalars(s, s2)
         num = (num * _factor_product(den2, g)).scale(k1) + (num2 * _factor_product(den, g)).scale(k2)
         if num.is_zero():
             s, num, den = 0, P_ZERO, {}
             continue
-        c, num = _split_content(num)
-        s = _normc(s * c)
         lcm = dict(den)
         for f, m in den2.items():
             lcm[f] = max(m, lcm.get(f, 0))
-        num, divided = split_factors(num, g.items())
+        num, divided = split_factors(num, equal)
         for f, k in divided.items():
             lcm[f] -= k
         den = {f: m for f, m in lcm.items() if m}
     if not s:
         return RF_ZERO
-    out = _make(s, num, _factor_product(den, {}))
+    c, num = _split_content(num)
+    out = _make(_normc(s * c), num, _factor_product(den, {}))
     out._mult = den
     return out
 
 
 def _factor_product(mult, minus):
     """prod f^(m - minus[f]) over the items f -> m of mult."""
+    return _power_product(frozenset((f, m - minus.get(f, 0)) for f, m in mult.items() if m > minus.get(f, 0)))
+
+
+@lru_cache(maxsize=None)
+def _power_product(powers):
+    """prod f^m over the (f, m) pairs of the frozenset powers."""
     out = P_ONE
-    for f, m in mult.items():
-        m -= minus.get(f, 0)
-        if m:
-            out = out * f**m
+    for f, m in powers:
+        out = out * f**m
     return out
 
 

@@ -102,7 +102,14 @@ def hook_factor(lam, genus):
 def _norm_zw(lam):
     """(unit, ((f, m), ...)) of the norm a_lam, with q, t renamed Z, W."""
     unit, factors = norm_factors(lam)
-    return unit, tuple((f.rename(_QT_TO_ZW), m) for f, m in factors)
+    return unit, tuple((_zw(f), m) for f, m in factors)
+
+
+@lru_cache(maxsize=None)
+def _zw(f):
+    """The factor f with q, t renamed Z, W: one object per factor, so the
+    mult dicts of coeffring.factored_sum match it by identity."""
+    return f.rename(_QT_TO_ZW)
 
 
 @lru_cache(maxsize=None)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffring import Polynomial, rf
+from .coeffring import Polynomial, _term_sum, _total, rf
 from .kernel import (
     kernel,
     log_cauchy_series,
@@ -44,9 +44,10 @@ from .kernel import (
 from .partitions import Partition
 from .symfunc import tensor_hall_scalar
 
-_Q = Polynomial.var("q")
 _T = Polynomial.var("t")
 _V = Polynomial.var("v")
+_Z = Polynomial.var("Z")
+_W = Polynomial.var("W")
 
 
 class OddDimension(ValueError):
@@ -328,9 +329,10 @@ def c_from_log(factors):
     """
     n, alphabets = column_factors(factors)
     comp = log_cauchy_series(0, len(alphabets), n).component(n)
-    val = tensor_hall_scalar(alphabets, comp)
-    val = val.rename({"Z": "q", "W": "t"})
-    return _column_sign(n, val * rf((_Q - 1) * (1 - _T)))
+    # the pairing carries its denominator's factors, as the Log's
+    # coefficients do, so it is scaled as the kernel is, with no gcd
+    val = _total(_term_sum(tensor_hall_scalar(alphabets, comp)) * rf((_Z - 1) * (1 - _W)))
+    return _column_sign(n, val.rename({"Z": "q", "W": "t"}))
 
 
 def mixed_hodge_rhs(mu, nu):

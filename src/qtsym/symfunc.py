@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffring import HookField, Polynomial, RationalFunction, rf
+from .coeffring import HookField, Polynomial, RationalFunction, _splittable, _term_sum, factored_sum, rf
 from .partitions import Partition, partitions_of
 
 _DEGREE_CAP = 8
@@ -487,7 +487,14 @@ def tensor_hall_scalar(factors, G):
     of G weighs the product of its one-alphabet integer weights; the
     weights are summed per distinct coefficient of G (equal coefficients
     merge), so there is one scale-and-add per distinct coefficient.
-    hall_scalar of the multiplied-out product is the reference.
+    When every such coefficient is a RationalFunction that
+    coeffring._splittable accepts, as the coefficients of the (Z, W)
+    kernels and Log components are, the terms c * w are added over the
+    factors of their denominators by coeffring.factored_sum, with no gcd.
+    Otherwise, for a HookField among them or a denominator that carries
+    no factors (a kernel specialized at a point may have one), they are
+    added in RationalFunction arithmetic. hall_scalar of the
+    multiplied-out product is the reference.
     """
     if len(factors) != G.k:
         raise ValueError("alphabet count mismatch")
@@ -501,12 +508,14 @@ def tensor_hall_scalar(factors, G):
                 break
         else:
             acc[c] = acc.get(c, 0) + w
+    acc = {c: w for c, w in acc.items() if w}
+    if not acc:
+        return rf(0)
+    if all(isinstance(c, RationalFunction) for c in acc) and _splittable(acc):
+        return factored_sum((s * w, p, m) for c, w in acc.items() for s, p, m in _term_sum(c).terms)
     total = None
     for c, w in acc.items():
-        if w:
-            total = c * w if total is None else total + c * w
-    if total is None:
-        return rf(0)
+        total = c * w if total is None else total + c * w
     return total
 
 

@@ -429,8 +429,9 @@ def run_suite(suite, max_n=None, writer=print):
     After each criterion that runs, writes a line 'TIME  [n:label] x.xs'
     with its wall time, then 'GCD  [n:label] trivial=.. univariate=..
     bivariate=.. prs=..' with the paths of the gcds it took, then
-    'SPLIT  [n:label] divided=.. failed=..' with the trial divisions of
-    coeffring.split_factors it made, then 'LOGEXP  [n:label] split=..
+    'SPLIT  [n:label] divided=.. failed=.. skipped=..' with the trial
+    divisions of coeffring.split_factors it made and the factors
+    coeffring.factored_sum left untried, then 'LOGEXP  [n:label] split=..
     rational=..' with the plethystic Log and Exp calls that ran on
     coeffring splits and on RationalFunction arithmetic."""
     if suite not in SUITES:

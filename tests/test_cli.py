@@ -313,9 +313,10 @@ def test_verify_subcommand(capsys):
         for i, line in enumerate(lines) if line.startswith("TIME")
     ]
     assert counted == timed
-    # and by the counts of the trial divisions of coeffring.split_factors
+    # and by the counts of the trial divisions of coeffring.split_factors,
+    # and of the factors coeffring.factored_sum left untried
     split = [
-        re.fullmatch(r"SPLIT  \[(\d+):[^\]]+\] divided=\d+ failed=\d+", lines[i + 2]).group(1)
+        re.fullmatch(r"SPLIT  \[(\d+):[^\]]+\] divided=\d+ failed=\d+ skipped=\d+", lines[i + 2]).group(1)
         for i, line in enumerate(lines) if line.startswith("TIME")
     ]
     assert split == timed

@@ -187,6 +187,9 @@ def test_hash_agrees_with_equality_across_coefficient_types():
         assert all(a == b for a in group for b in group)
         assert len(set(group)) == 1, group
     assert len({rf(q), rf(q) / rf(t), rf(t)}) == 3
+    # factors of one support hash apart, so a lookup in a mult dict of
+    # factored_sum need not compare them
+    assert hash(Z - 1) != hash(Z + 1) and hash(rf(Z - W) / 2) != hash(rf(Z + W) / 2)
 
 
 def test_hookfield_adams_and_specialize():
@@ -489,6 +492,53 @@ def test_factored_products_and_adams_images_match_rational_arithmetic():
             got = _check_factored_sum([term], [want])
             assert coeffring._factor_product(got._mult, {}) == got.den
             _assert_canonical(got)
+
+
+# Five factors in Z and W, so that drawn denominators often share a
+# factor, at equal and at unequal multiplicities.
+_SUM_POOL = list(
+    dict.fromkeys(f for a, b in ((1, 1), (2, 2), (1, 0), (0, 1), (2, 1)) for f in binomial_factors("Z", a, "W", b)[1])
+)
+
+
+def _pool_term(c):
+    """The reduced fraction c, whose denominator is a product of pool
+    factors, as a (scalar, prim, mult) term of factored_sum."""
+    unit, mult = split_factors(c.den, [(f, 9) for f in _SUM_POOL])
+    assert unit == P_ONE
+    return c.scalar, c.prim, mult
+
+
+@st.composite
+def _factored_sum_cases(draw):
+    """(terms, parts): terms over powers of the pool factors and their
+    values as RationalFunctions. A last term, when drawn, is a target over
+    fewer factors less the other parts, so the sum cancels factors that
+    two denominators share at equal multiplicity."""
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        den = P_ONE
+        for f in draw(st.lists(st.sampled_from(_SUM_POOL), unique=True, max_size=3)):
+            den = den * f ** draw(st.integers(1, 3))
+        parts.append(RationalFunction(draw(_zw_polys(("Z", "W"))).scale(draw(_fractions.filter(bool))), den))
+    if draw(st.booleans()):
+        den = P_ONE
+        for f in draw(st.lists(st.sampled_from(_SUM_POOL), unique=True, max_size=2)):
+            den = den * f
+        last = RationalFunction(draw(_zw_polys(("Z", "W"))), den) - sum(parts, RationalFunction.const(0))
+        if not last.is_zero():
+            parts.append(last)
+    return [_pool_term(c) for c in parts], parts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factored_sum_cases())
+def test_factored_sum_matches_rational_sums_over_shared_factors(case):
+    terms, parts = case
+    got = _check_factored_sum(terms, parts)
+    _assert_canonical(got)
+    if not got.is_zero():
+        assert coeffring._factor_product(got._mult, {}) == got.den
 
 
 @pytest.mark.parametrize("n", range(1, 6))

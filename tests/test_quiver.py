@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from qtsym.coeffring import Polynomial, rf
+from qtsym.coeffring import Polynomial, gcd_path_counts, rf
 from qtsym.kernel import kernel, log_cauchy_series, poincare_point
 from qtsym.kostka_algebra import structure_coefficient
 from qtsym.macdonald import clear_tables
@@ -324,6 +324,15 @@ def test_tensor_pairing_matches_multiplied_out_column_functions(n):
         kernel(n, 0, 4, (rf(0), rf(t), rf(0))),
         log_cauchy_series(0, 4, n).component(n),
     )
+    # the pairing adds the kernel's and the Log's coefficients over their
+    # factors, and c_from_log scales its pairing as the kernel is scaled,
+    # so the column evaluators take no gcd
+    before = gcd_path_counts()
+    for mu, nu in product(partitions_of(n), repeat=2):
+        c_from_log((mu, nu))
+        mixed_hodge_rhs(mu, nu)
+        q1_rhs(mu, nu)
+    assert gcd_path_counts() == before
     for mu, nu in product(partitions_of(n), repeat=2):
         m, factors = column_factors((mu, nu))
         assert m == n
