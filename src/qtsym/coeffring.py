@@ -66,17 +66,22 @@ divisions succeeded and failed, and how many factors factored_sum left
 untried.
 
 factored_sum leaves its denominator's multiplicities on the
-RationalFunction it makes, so a later sum or product reads them with no
-division. The plethystic Log and Exp (plethysm) carry such coefficients
-as unreduced sums of (scalar, prim, mult) terms, _TermSum, with no gcd:
-a product of two terms divides each prim by the other's factors
-(split_factors) and adds the multiplicities (split_product); psi_n of a
-factor of binomial_factors(x, a, y, b) divides x^(na) - y^(nb), so it is
-split once over binomial_factors(x, na, y, nb) and memoized, and psi_n
-keeps coprime polynomials coprime, so an Adams image of a reduced term
-stays reduced; factored_sum adds the terms once, at the end. The Hall
-pairing (symfunc.tensor_hall_scalar) adds such coefficients, times
-integer weights, by factored_sum too.
+RationalFunction it makes (_mult), and the operators read them. When one
+operand carries a factor, the other carries its factors or is a
+polynomial, and together they use at most two indeterminates, a sum is a two-term
+factored_sum and a product divides each prim by the other's factors
+(split_factors), adds the multiplicities (split_product) and goes
+through factored_sum too, so both results carry their factors again.
+psi_n (raise_exponents) of a factor of binomial_factors(x, a, y, b)
+divides x^(na) - y^(nb), so it is split once over
+binomial_factors(x, na, y, nb) and memoized, and psi_n keeps coprime
+polynomials coprime, so the Adams image of a reduced coefficient whose
+factors are all of that kind stays reduced and carries its factors.
+Negation and a constant factor keep them. Every other operand takes the
+gcd path above, after one attribute test, so the gcd path counts show
+any coefficient that falls back; polynomials need no gcd there. weighted_sum adds w * c over many pairs
+in one factored_sum, as the Hall pairing (symfunc.tensor_hall_scalar)
+does.
 
 Values are immutable after construction and safe to share between
 threads; the gcd path and split counts are process-wide diagnostics.
@@ -1131,6 +1136,9 @@ class RationalFunction:
     prim and den are primitive integer polynomials with positive leading
     coefficient, scalar is a nonzero int or Fraction; zero is scalar 0
     over prim 0 and den 1. num = scalar * prim is built on first use.
+    _mult, when not None, maps each factor of den to its multiplicity, as
+    factored_sum leaves it, and the operators run on those factors when
+    there are any.
     """
 
     __slots__ = ("scalar", "prim", "den", "_num", "_hash", "_mult")
@@ -1204,6 +1212,8 @@ class RationalFunction:
             return self
         if not self.scalar:
             return other
+        if (self._mult or other._mult) and _on_factors((self, other)):
+            return factored_sum((_term(self), _term(other)))
         # Henrici's rule: with a1 = d1/g and a2 = d2/g, a common factor of
         # num and a1*a2*g can only divide g (see the module docstring).
         s, k1, k2 = _join_scalars(self.scalar, other.scalar)
@@ -1224,7 +1234,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self.scalar, self.prim, self.den)
+        return _make(-self.scalar, self.prim, self.den, self._mult)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -1243,7 +1253,9 @@ class RationalFunction:
             return RF_ZERO
         s = _normc(self.scalar * other.scalar)
         if other.prim is P_ONE and other.den is P_ONE:
-            return _make(s, self.prim, self.den)
+            return _make(s, self.prim, self.den, self._mult)
+        if (self._mult or other._mult) and _on_factors((self, other)):
+            return factored_sum((_factored_product(_term(self), _term(other)),))
         if self.den.is_constant() and other.den.is_constant():
             return _make(s, self.prim * other.prim, P_ONE)
         _, n1, d2 = gcd_cofactors(self.prim, other.den)
@@ -1301,6 +1313,8 @@ class RationalFunction:
         return _make(s, prim, den)
 
     def raise_exponents(self, n):
+        if self._mult and all(_binomial_of(f, f.vars) for f in self._mult):
+            return factored_sum((_factored_adams(n, _term(self)),))
         # x -> x^n keeps the graded-lex order, so the leading terms stay
         return _make(self.scalar, self.prim.raise_exponents(n), self.den.raise_exponents(n))
 
@@ -1376,17 +1390,41 @@ class RationalFunction:
         return RationalFunction(Polynomial.parse(num_text), Polynomial.parse(den_text))
 
 
-def _make(scalar, prim, den):
+def _make(scalar, prim, den, mult=None):
     """The RationalFunction scalar * prim / den, its parts already in the
-    canonical form of the class."""
+    canonical form of the class; mult, when given, the multiplicities of
+    the factors of den (see factored_sum)."""
     r = RationalFunction.__new__(RationalFunction)
     r.scalar = scalar
     r.prim = prim
     r.den = den
     r._num = None
     r._hash = None
-    r._mult = None
+    r._mult = mult
     return r
+
+
+def _term(c, w=1):
+    """w times the RationalFunction c, which carries its factors or is a
+    polynomial, as a (scalar, prim, mult) term of factored_sum."""
+    return c.scalar * w, c.prim, c._mult or {}
+
+
+def _on_factors(coefficients):
+    """Whether the RationalFunctions coefficients add and multiply on
+    their carried factors: each carries them or is a polynomial, and
+    where any carries a factor, together they use at most two
+    indeterminates, as split_factors needs. Polynomials alone add there
+    too, with no factor to divide."""
+    names = set()
+    carried = False
+    for c in coefficients:
+        if c._mult:
+            carried = True
+        elif not c.den.is_constant():
+            return False
+        names.update(c.prim.vars, c.den.vars)
+    return not carried or len(names) <= 2
 
 
 def _quo(a, b):
@@ -1716,6 +1754,14 @@ def split_over(x, norm):
     return s * unit, prim, den
 
 
+def over_norm(num, norm):
+    """The polynomial num, a RationalFunction, over norm = (unit, ((f, m),
+    ...)) as a reduced RationalFunction that carries its factors: num is
+    split against the factors (split_factors) and put over the norm
+    (split_over), with no gcd."""
+    return factored_sum([split_over((num.scalar,) + split_factors(num.prim, norm[1]), norm)])
+
+
 def factored_sum(terms):
     """The sum of the fractions scalar * prim / prod f^m over the
     (scalar, prim, mult) triples, mult a dict f -> m > 0, as a reduced
@@ -1736,7 +1782,8 @@ def factored_sum(terms):
     split_counts(). Every factor has a top coefficient led by +-1, so the
     numerator stays integral, and its content is split off once, at the
     end, as is the denominator multiplied out; its mult stays on the
-    result, for _term_sum. A mult dict is never changed once made.
+    result, for the operators of RationalFunction. A mult dict is never
+    changed once made.
     """
     s, num, den = 0, P_ZERO, {}
     for s2, num2, den2 in terms:
@@ -1768,9 +1815,7 @@ def factored_sum(terms):
     if not s:
         return RF_ZERO
     c, num = _split_content(num)
-    out = _make(_normc(s * c), num, _factor_product(den, {}))
-    out._mult = den
-    return out
+    return _make(_normc(s * c), num, _factor_product(den, {}), den)
 
 
 def _factor_product(mult, minus):
@@ -1855,86 +1900,18 @@ def _factored_adams(n, x):
     return s, p.raise_exponents(n), den
 
 
-class _TermSum:
-    """An unreduced sum of terms of factored_sum: a coefficient of the
-    plethystic Log and Exp on their split path (plethysm). Sums join the
-    terms, a product multiplies every pair of them (_factored_product),
-    raise_exponents maps each one (_factored_adams), and _total adds them
-    once, by factored_sum. No gcd is taken. A HookField holds two, as its
-    base and eps parts, so its own rules multiply and raise them."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = terms
-
-    def is_zero(self):
-        # known to be zero only without terms; _total drops a zero sum
-        return not self.terms
-
-    def __add__(self, other):
-        other = _as_term_sum(other)
-        return NotImplemented if other is None else _TermSum(self.terms + other.terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _TermSum(tuple((-s, p, m) for s, p, m in self.terms))
-
-    def __mul__(self, other):
-        other = _as_term_sum(other)
-        if other is None:
-            return NotImplemented
-        return _TermSum(tuple(_factored_product(x, y) for x in self.terms for y in other.terms))
-
-    __rmul__ = __mul__
-
-    def raise_exponents(self, n):
-        return _TermSum(tuple(_factored_adams(n, x) for x in self.terms))
-
-
-def _as_term_sum(c):
-    """c as a _TermSum when it is one or a RationalFunction that splits, else None."""
-    return _term_sum(c) if isinstance(c, RationalFunction) else c if isinstance(c, _TermSum) else None
-
-
-def _term_sum(c):
-    """The coefficient c as a _TermSum, a HookField of two for a HookField,
-    or None when a denominator of c is not constant and carries no
-    factors, as factored_sum leaves them."""
-    if isinstance(c, HookField):
-        parts = (_term_sum(c.base), _term_sum(c.odd))
-        return None if parts[0] is None or parts[1] is None else HookField(*parts)
-    if not c.scalar:
-        return _TermSum(())
-    if c.den.is_constant():
-        return _TermSum(((c.scalar, c.prim, {}),))
-    return None if c._mult is None else _TermSum(((c.scalar, c.prim, c._mult),))
-
-
-def _total(c):
-    """The coefficient that c stands for: each _TermSum added up by
-    factored_sum, a HookField part by part; a coefficient as it is."""
-    if isinstance(c, HookField):
-        return HookField(_total(c.base), _total(c.odd))
-    return factored_sum(c.terms) if isinstance(c, _TermSum) else c
-
-
-def _splittable(coefficients):
-    """Whether every coefficient has a _term_sum whose products and Adams
-    images need no gcd: each carried factor is one of binomial_factors,
-    and where any is carried, prims and factors use at most two
-    indeterminates together, as split_factors needs."""
-    names = set()
-    carried = False
-    for c in coefficients:
-        for r in (c.base, c.odd) if isinstance(c, HookField) else (c,):
-            names.update(r.prim.vars, r.den.vars)
-            if not r.den.is_constant():
-                if r._mult is None or not all(_binomial_of(f, f.vars) for f in r._mult):
-                    return False
-                carried = True
-    return not carried or len(names) <= 2
+def weighted_sum(pairs):
+    """The sum of w * c over the (c, w) pairs, c a RationalFunction or a
+    HookField and w an int: one factored_sum when the c add on their
+    carried factors or are polynomials (_on_factors), part by part when a
+    HookField is among them, and by + otherwise."""
+    pairs = list(pairs)
+    if any(isinstance(c, HookField) for c, _ in pairs):
+        pairs = [(c if isinstance(c, HookField) else HookField(c), w) for c, w in pairs]
+        return HookField(weighted_sum((c.base, w) for c, w in pairs), weighted_sum((c.odd, w) for c, w in pairs))
+    if _on_factors(c for c, _ in pairs):
+        return factored_sum(_term(c, w) for c, w in pairs)
+    return sum((c * w for c, w in pairs), RF_ZERO)
 
 
 # -- quadratic extension for the genus-g hook numerators ----------------------
@@ -1949,9 +1926,8 @@ class HookField:
     __slots__ = ("base", "odd")
 
     def __init__(self, base, odd=None):
-        # a _TermSum part stays unreduced until _total
-        self.base = base if isinstance(base, _TermSum) else rf(base)
-        self.odd = RF_ZERO if odd is None else odd if isinstance(odd, _TermSum) else rf(odd)
+        self.base = rf(base)
+        self.odd = RF_ZERO if odd is None else rf(odd)
 
     def is_zero(self):
         return self.base.is_zero() and self.odd.is_zero()
@@ -1962,7 +1938,7 @@ class HookField:
     def _coerce(self, other):
         if isinstance(other, HookField):
             return other
-        if isinstance(other, (int, Fraction, Polynomial, RationalFunction, _TermSum)):
+        if isinstance(other, (int, Fraction, Polynomial, RationalFunction)):
             return HookField(other)
         return None
 

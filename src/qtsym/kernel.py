@@ -37,9 +37,10 @@ cofactors and adds multiplicities (coeffring.split_product), keeping in
 its denominator only the factors it has fewer times than a_lam
 (coeffring.split_over), and the terms of an orbit are added over the
 factors by Henrici's rule (coeffring.factored_sum), which leaves the
-multiplicities on each coefficient. The Log and Exp read them and run on
-coeffring splits (see plethysm), and so does the (Z-1)(1-W) scaling:
-every denominator there is a product of Adams images of norm factors.
+multiplicities on each coefficient. RationalFunction arithmetic runs on
+carried factors, so the Log, the Exp and the (Z-1)(1-W) scaling take no
+gcd either: every denominator there is a product of Adams images of norm
+factors (see coeffring and plethysm).
 hook_factor is the term of the empty key, from the same split parts.
 
 The series components and the Log components (one memo entry per
@@ -60,8 +61,6 @@ from .coeffring import (
     HookField,
     Polynomial,
     RationalFunction,
-    _term_sum,
-    _total,
     factored_sum,
     rf,
     split_factors,
@@ -70,7 +69,7 @@ from .coeffring import (
 )
 from .macdonald import build_table, derived, norm_factors
 from .partitions import Partition
-from .plethysm import Series, _split_path, log_step, orbit_filter, sorted_key, spread
+from .plethysm import Series, log_step, orbit_filter, sorted_key, spread
 from .symfunc import SymFunc
 
 _Z = Polynomial.var("Z")
@@ -203,7 +202,7 @@ def _log_component(genus, points, d):
     H = cauchy_series(genus, points, d)
     lower = [(None, SymFunc.zero(points))] + [_log_component(genus, points, j) for j in range(1, d)]
     P, G = zip(*lower)
-    return log_step(H.comps, P, G, d, orbit_filter(H), _split_path(H))
+    return log_step(H.comps, P, G, d, orbit_filter(H))
 
 
 @derived
@@ -233,9 +232,7 @@ def _kernel(n, genus, points, point):
         # once per orbit: the Log is symmetric under permuting the alphabets
         scale = rf((_Z - 1) * (1 - _W))
         terms = _log_component(genus, points, n)[1].terms
-        # the Log's coefficients carry their factors (plethysm._split_path)
-        scaled = {rep: _total(_term_sum(c) * scale) for rep, c in terms.items() if sorted_key(rep)}
-        return spread(scaled, points)
+        return spread({rep: c * scale for rep, c in terms.items() if sorted_key(rep)}, points)
     return specialize_kernel(kernel(n, genus, points), *point)
 
 

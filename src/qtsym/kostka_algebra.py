@@ -33,6 +33,7 @@ from .coeffring import (
     RF_ZERO,
     Polynomial,
     factored_sum,
+    over_norm,
     rf,
     split_factors,
     split_over,
@@ -262,7 +263,7 @@ def garsia_haiman_sum(n):
     table = build_table(n)
     weights = {}
     for lam in table.partitions:
-        weight = rf(phi_weight(lam) * corner_free_product(lam)) / table.norm(lam)
+        weight = rf(phi_weight(lam) * corner_free_product(lam))
         if not weight.is_zero():
-            weights[lam] = weight
+            weights[lam] = over_norm(weight, norm_factors(lam))
     return from_macdonald_expansion(weights) * rf((_Q - 1) * (1 - _T))

@@ -27,7 +27,7 @@ over the cells (norm_product) and are not stored.
 The norms a_eta are products of binomials q^A - t^B whose irreducible
 factors are known in closed form (norm_factors). Each inverse entry is
 a polynomial pairing over a_eta, reduced by dividing out those factors
-(coeffring.split_factors), with no polynomial gcd.
+(coeffring.over_norm), with no polynomial gcd.
 
 Every sum over the conjugacy classes kappa of S_n (the power-sum
 coefficients of the fillings, the checks of the characterization, the
@@ -51,10 +51,8 @@ from .coeffring import (
     Polynomial,
     RationalFunction,
     binomial_factors,
-    factored_sum,
+    over_norm,
     rf,
-    split_factors,
-    split_over,
 )
 from .linalg import SingularSystem
 from .partitions import Partition, dominance_leq, partitions_of
@@ -118,7 +116,7 @@ class MacdonaldTable:
             for lam in self.partitions:
                 num = class_sum(((w * mn_character(lam, kappa), c) for kappa, w, c in scaled), size)
                 if num:
-                    num = factored_sum([split_over((num.scalar,) + split_factors(num.prim, norm[1]), norm)])
+                    num = over_norm(num, norm)
                 kostka_inv[(eta, lam)] = num
         return kostka_inv
 

@@ -25,23 +25,15 @@ spread stores each result as one shared object under every key of its
 orbit, so storage stays dense. Any other series, such as a test input,
 runs the same loops with no filter, on every key.
 
-The coefficients take no gcd when the series allows it. _split_path
-decides that once per call from the input series alone, as orbit_filter
-does: when every denominator is constant or carries its factors, as
-coeffring.factored_sum leaves them, each factor is one of
-coeffring.binomial_factors and the series has at most two
-indeterminates, the loops run on coeffring splits. Each
-coefficient then enters as a coeffring._TermSum (a HookField of two in
-genus one), products cross-cancel by trial division, psi_n splits each
-factor over the factors of a binomial, and each component is summed into
-its RationalFunction once, by factored_sum, whose result carries its
-factors into the next degree. Any other series runs the same loops on
-RationalFunction arithmetic. _PATHS counts the calls on each path.
+The loops are plain coefficient arithmetic. A coefficient that carries
+the factors of its denominator, as coeffring.factored_sum leaves them,
+adds, multiplies and Adams-raises on those factors with no gcd (see
+coeffring), and its results carry their factors into the next degree:
+this is how the Log and Exp of the Cauchy series take no gcd.
 
 Results are built with symfunc's SymFunc._raw and summed with its
 _accumulate rule; the Adams operator raises a coefficient through its
-own raise_exponents(n), whether a RationalFunction, a HookField or a
-coeffring._TermSum.
+own raise_exponents(n), whether a RationalFunction or a HookField.
 """
 
 from __future__ import annotations
@@ -50,15 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .coeffring import (
-    HookField,
-    Polynomial,
-    RationalFunction,
-    _splittable,
-    _term_sum,
-    _total,
-    rf,
-)
+from .coeffring import HookField, Polynomial, RationalFunction, rf
 from .partitions import Partition
 from .symfunc import SymFunc, _accumulate
 
@@ -350,52 +334,17 @@ def _whole(F, keep):
     return F if keep is None else spread(F.terms, F.k)
 
 
-def _operands(F, split):
-    """F as the loops below take it: on the split path each coefficient as a
-    coeffring term sum."""
-    return SymFunc._raw(F.k, {key: _term_sum(c) for key, c in F.terms.items()}) if split else F
-
-
-def _summed(F, split):
-    """F with its term sums added up into coefficients, zeros left out."""
-    if not split:
-        return F
-    out = {}
-    for key, x in F.terms.items():
-        c = _total(x)
-        if not c.is_zero():
-            out[key] = c
-    return SymFunc._raw(F.k, out)
-
-
-# How many Log and Exp calls ran on each path (_split_path).
-_PATHS = dict.fromkeys(("split", "rational"), 0)
-
-
-def _split_path(S):
-    """Whether the Log or Exp of the series S runs on coeffring splits
-    (coeffring._splittable of its coefficients); counted in _PATHS."""
-    split = _splittable(c for F in S.comps for c in F.terms.values())
-    _PATHS["split" if split else "rational"] += 1
-    return split
-
-
-def _adams_part(G, d, keep, split):
+def _adams_part(G, d, keep):
     """sum over n | d, n > 1, of (d/n) psi_n(G_{d/n}): what the components
     of G below degree d add to the d-th power sum of Exp(G). psi_n scales
     the parts of a key, so it takes sorted keys to sorted keys."""
-    terms = (
-        adams(n, _operands(_part(G[d // n], keep), split)) * (d // n)
-        for n in range(2, d + 1)
-        if d % n == 0
-    )
+    terms = (adams(n, _part(G[d // n], keep)) * (d // n) for n in range(2, d + 1) if d % n == 0)
     return sum(terms, SymFunc.zero(G[0].k))
 
 
-def _newton(P, H, d, keep, split):
+def _newton(P, H, d, keep):
     """sum over 0 < j < d of P_j H_{d-j}: Newton's sum without P_d H_0 = P_d."""
-    terms = (_operands(P[j], split).product(_operands(H[d - j], split), keep) for j in range(1, d))
-    return sum(terms, SymFunc.zero(H[0].k))
+    return sum((P[j].product(H[d - j], keep) for j in range(1, d)), SymFunc.zero(H[0].k))
 
 
 def exp_series(G):
@@ -404,27 +353,22 @@ def exp_series(G):
     if not G.comps[0].is_zero():
         raise ValueError("Exp needs a zero constant term")
     keep = orbit_filter(G)
-    split = _split_path(G)
     H = Series.one(G.cap, G.k)
     P = [None]
     for d in range(1, G.cap + 1):
-        Pd = _operands(_part(G.comps[d], keep), split) * d + _adams_part(G.comps, d, keep, split)
-        Pd = _summed(Pd, split)
-        Hd = (_operands(Pd, split) + _newton(P, H.comps, d, keep, split)) * Fraction(1, d)
-        H.comps[d] = _whole(_summed(Hd, split), keep)
+        Pd = _part(G.comps[d], keep) * d + _adams_part(G.comps, d, keep)
+        H.comps[d] = _whole((Pd + _newton(P, H.comps, d, keep)) * Fraction(1, d), keep)
         P.append(_whole(Pd, keep))
     return H
 
 
-def log_step(H, P, G, d, keep, split):
+def log_step(H, P, G, d, keep):
     """(P_d, G_d): the identities of the module docstring read backwards in
     degree d, from H_1..H_d, P_1..P_{d-1} and G_0..G_{d-1}, each a sequence
-    indexed by degree. keep is orbit_filter of the series H, and split
-    whether its Log runs on coeffring splits (_split_path)."""
-    Pd = _operands(_part(H[d], keep), split) * d - _newton(P, H, d, keep, split)
-    Pd = _summed(Pd, split)
-    Gd = (_operands(Pd, split) - _adams_part(G, d, keep, split)) * Fraction(1, d)
-    return _whole(Pd, keep), _whole(_summed(Gd, split), keep)
+    indexed by degree. keep is orbit_filter of the series H."""
+    Pd = _part(H[d], keep) * d - _newton(P, H, d, keep)
+    Gd = (Pd - _adams_part(G, d, keep)) * Fraction(1, d)
+    return _whole(Pd, keep), _whole(Gd, keep)
 
 
 def log_series(H):
@@ -433,10 +377,9 @@ def log_series(H):
     if not H.comps[0] == SymFunc.one(H.k):
         raise ValueError("Log needs constant term one")
     keep = orbit_filter(H)
-    split = _split_path(H)
     G = Series(H.cap, H.k)
     P = [None]
     for d in range(1, H.cap + 1):
-        Pd, G.comps[d] = log_step(H.comps, P, G.comps, d, keep, split)
+        Pd, G.comps[d] = log_step(H.comps, P, G.comps, d, keep)
         P.append(Pd)
     return G

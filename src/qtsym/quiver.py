@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffring import Polynomial, _term_sum, _total, rf
+from .coeffring import Polynomial, rf
 from .kernel import (
     kernel,
     log_cauchy_series,
@@ -329,9 +329,7 @@ def c_from_log(factors):
     """
     n, alphabets = column_factors(factors)
     comp = log_cauchy_series(0, len(alphabets), n).component(n)
-    # the pairing carries its denominator's factors, as the Log's
-    # coefficients do, so it is scaled as the kernel is, with no gcd
-    val = _total(_term_sum(tensor_hall_scalar(alphabets, comp)) * rf((_Z - 1) * (1 - _W)))
+    val = tensor_hall_scalar(alphabets, comp) * rf((_Z - 1) * (1 - _W))
     return _column_sign(n, val.rename({"Z": "q", "W": "t"}))
 
 

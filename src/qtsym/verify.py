@@ -28,7 +28,7 @@ from .kostka_algebra import (
 )
 from .macdonald import build_table, evaluation_product, qt_norm_pairing
 from .partitions import Partition, dominance_leq, partitions_of
-from .plethysm import AlphabetExpr, _PATHS, exp_series, substitute
+from .plethysm import AlphabetExpr, exp_series, substitute
 from .quiver import c_from_log, c_from_trace, mixed_hodge_rhs, q1_rhs
 from .symfunc import (
     SymFunc,
@@ -431,9 +431,9 @@ def run_suite(suite, max_n=None, writer=print):
     bivariate=.. prs=..' with the paths of the gcds it took, then
     'SPLIT  [n:label] divided=.. failed=.. skipped=..' with the trial
     divisions of coeffring.split_factors it made and the factors
-    coeffring.factored_sum left untried, then 'LOGEXP  [n:label] split=..
-    rational=..' with the plethystic Log and Exp calls that ran on
-    coeffring splits and on RationalFunction arithmetic."""
+    coeffring.factored_sum left untried. Arithmetic on coefficients that
+    carry their factors takes no gcd, so a gcd on the GCD line is a
+    coefficient that fell back to reducing by gcds."""
     if suite not in SUITES:
         raise ValueError("unknown suite %r (choose from %s)" % (suite, sorted(SUITES)))
     all_ok = True
@@ -446,12 +446,10 @@ def run_suite(suite, max_n=None, writer=print):
         start = time.perf_counter()
         before = gcd_path_counts()
         splits_before = split_counts()
-        log_exp_before = dict(_PATHS)
         results = func(max_n=cap)
         elapsed = time.perf_counter() - start
         paths = _count_changes(before, gcd_path_counts())
         splits = _count_changes(splits_before, split_counts())
-        log_exp = _count_changes(log_exp_before, _PATHS)
         for name, ok, detail in results:
             status = "PASS" if ok else "FAIL"
             line = "%s  [%d:%s] %s" % (status, number, label, name)
@@ -462,5 +460,4 @@ def run_suite(suite, max_n=None, writer=print):
         writer("TIME  [%d:%s] %.1fs" % (number, label, elapsed))
         writer("GCD  [%d:%s] %s" % (number, label, paths))
         writer("SPLIT  [%d:%s] %s" % (number, label, splits))
-        writer("LOGEXP  [%d:%s] %s" % (number, label, log_exp))
     return all_ok

@@ -320,9 +320,3 @@ def test_verify_subcommand(capsys):
         for i, line in enumerate(lines) if line.startswith("TIME")
     ]
     assert split == timed
-    # and by the plethystic Log and Exp calls on each coefficient path
-    log_exp = [
-        re.fullmatch(r"LOGEXP  \[(\d+):[^\]]+\] split=\d+ rational=\d+", lines[i + 3]).group(1)
-        for i, line in enumerate(lines) if line.startswith("TIME")
-    ]
-    assert log_exp == timed

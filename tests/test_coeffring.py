@@ -413,7 +413,7 @@ def test_engine_splits_turn_p_into_rows_once(monkeypatch):
     assert conversions == [1] * len(conversions)
 
 
-_ZW_FACTORS = sorted(
+_NORM_ZW_FACTORS = sorted(
     {f.rename({"q": "Z", "t": "W"}) for eta in _ETAS for f, _ in norm_factors(eta)[1]},
     key=repr,
 )
@@ -424,9 +424,9 @@ def _factored_term(rng):
     factors, with a numerator that is a product of other factors, maybe
     plus a small integer polynomial, and the term as a RationalFunction;
     None when the drawn numerator is not prime to the denominator."""
-    mult = {f: rng.randint(1, 2) for f in rng.sample(_ZW_FACTORS, rng.randint(0, 3))}
+    mult = {f: rng.randint(1, 2) for f in rng.sample(_NORM_ZW_FACTORS, rng.randint(0, 3))}
     num = P_ONE
-    for f in rng.sample([f for f in _ZW_FACTORS if f not in mult], rng.randint(0, 2)):
+    for f in rng.sample([f for f in _NORM_ZW_FACTORS if f not in mult], rng.randint(0, 2)):
         num = num * f
     if rng.random() < 0.5:
         num = num + Polynomial(("Z", "W"), {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)})
@@ -475,11 +475,28 @@ def test_factored_sum_matches_rational_addition():
     assert factored_sum([]).is_zero()
 
 
+def _check_carried(got, want, carried=True):
+    """got equals want in value, repr and canonical form, carries its
+    factors when carried and it is not a polynomial, and its carried
+    factors multiply out to its denominator."""
+    assert got == want and repr(got) == repr(want)
+    _assert_canonical(got)
+    if carried and not got.is_polynomial():
+        assert got._mult
+    if got._mult is not None:
+        assert coeffring._factor_product(got._mult, {}) == got.den
+
+
 def test_factored_products_and_adams_images_match_rational_arithmetic():
     # a product cross-cancels each prim against the other term's factors,
     # and psi_n takes each factor to its split: factored_sum then makes the
-    # reduced RationalFunction, carrying its denominator's factors
+    # reduced RationalFunction, carrying its denominator's factors. The
+    # operators of RationalFunction and HookField run on those factors
+    # when one operand carries them and the other carries them or is a
+    # polynomial, and agree with the same operators on operands that
+    # carry none, which reduce by gcds
     rng = random.Random(20261020)
+    s = rf(Polynomial.var("s"))
     for _ in range(150):
         x, y = _factored_term(rng), _factored_term(rng)
         if not (x and y):
@@ -489,9 +506,38 @@ def test_factored_products_and_adams_images_match_rational_arithmetic():
             (coeffring._factored_product(x[0], y[0]), x[1] * y[1]),
             (coeffring._factored_adams(n, x[0]), x[1].raise_exponents(n)),
         ):
-            got = _check_factored_sum([term], [want])
-            assert coeffring._factor_product(got._mult, {}) == got.den
-            _assert_canonical(got)
+            _check_carried(factored_sum([term]), want)
+        a, b = factored_sum([x[0]]), factored_sum([y[0]])
+        xr, yr = x[1], y[1]
+        assert a._mult is not None and xr._mult is None
+        poly = rf(yr.num)
+        c = rf(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)))
+        for got, want in (
+            (a + b, xr + yr),
+            (a - b, xr - yr),
+            (a * b, xr * yr),
+            (-a, -xr),
+            (a * c, xr * c),
+            (c * a, c * xr),
+            (a + poly, xr + poly),
+            (poly - a, poly - xr),
+            (a * poly, xr * poly),
+            (poly * a, poly * xr),
+            (a.raise_exponents(n), xr.raise_exponents(n)),
+        ):
+            _check_carried(got, want)
+        for got, want in (
+            (HookField(a, b) * HookField(b, poly), HookField(xr, yr) * HookField(yr, poly)),
+            (HookField(a) * HookField(poly, b), HookField(xr) * HookField(poly, yr)),
+        ):
+            _check_carried(got.base, want.base)
+            _check_carried(got.odd, want.odd)
+        # beside a carried denominator in Z and W, a third indeterminate is
+        # beyond split_factors: gcds reduce
+        for got, want in ((a * (s + poly), xr * (s + poly)), (a + s, xr + s)):
+            _check_carried(got, want, carried=False)
+            if not a.is_polynomial():
+                assert got._mult is None
 
 
 # Five factors in Z and W, so that drawn denominators often share a

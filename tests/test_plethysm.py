@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtsym import coeffring, plethysm
-from qtsym.coeffring import Polynomial, factored_sum, rf
+from qtsym import plethysm
+from qtsym.coeffring import Polynomial, RationalFunction, factored_sum, gcd_path_counts, rf
 from qtsym.kernel import cauchy_series, kernel, log_cauchy_series
 from qtsym.partitions import Partition, partitions_of
 from qtsym.plethysm import (
@@ -240,19 +240,20 @@ LOG_CASES = [
 
 @pytest.mark.parametrize("genus,points,cap", LOG_CASES)
 def test_log_cauchy_series_and_its_exp_match_the_references(genus, points, cap):
-    # the Log, kernel and Exp computed once per orbit on coeffring splits,
-    # against the dense references, in value and in repr
+    # the Log, kernel and Exp computed once per orbit, with no gcd, as the
+    # coefficients carry their factors, against the dense references, in
+    # value and in repr
     H = cauchy_series(genus, points, cap)
-    paths = dict(plethysm._PATHS)
+    before = gcd_path_counts()
     L = log_cauchy_series(genus, points, cap)
     assert log_series(H) == L
+    K = kernel(cap, genus, points)
+    E = exp_series(L)
+    assert gcd_path_counts() == before
     want = reference_log(H)
     Z, W = Polynomial.var("Z"), Polynomial.var("W")
     want_kernel = want.component(cap) * rf((Z - 1) * (1 - W))
-    E = exp_series(L)
-    assert plethysm._PATHS["split"] >= paths["split"] + 2
-    assert plethysm._PATHS["rational"] == paths["rational"]
-    for got, ref in ((L, want), (kernel(cap, genus, points), want_kernel), (E, reference_exp(L))):
+    for got, ref in ((L, want), (K, want_kernel), (E, reference_exp(L))):
         assert got == ref and repr(got) == repr(ref)
     assert E == H
 
@@ -282,22 +283,26 @@ def test_non_symmetric_series_run_on_every_key():
 
 
 def test_series_without_carried_factors_take_the_rational_path():
-    # a denominator made by division carries no factors, and a third
-    # indeterminate beside carried (q, t) factors defeats split_factors:
-    # both series run on RationalFunction arithmetic; a series whose
-    # coefficients factored_sum made takes the split path
+    # a denominator made by division carries no factors, so it is reduced
+    # by bivariate gcds, and a third indeterminate beside carried (q, t)
+    # factors defeats split_factors, so it takes PRS gcds; a series whose
+    # coefficients factored_sum made in (q, t) takes no gcd
     f = Polynomial.var("q") - Polynomial.var("t")
     x, y = Polynomial.var("q"), Polynomial.var("u")
     for c, cc, path in (
-        (q / rf(f), (q / rf(f)) ** 2, "rational"),
-        (factored_sum([(1, y, {f: 1})]), factored_sum([(1, y * y, {f: 2})]), "rational"),
-        (factored_sum([(1, x, {f: 1})]), factored_sum([(1, x * x, {f: 2})]), "split"),
+        (q / rf(f), (q / rf(f)) ** 2, "bivariate"),
+        (factored_sum([(1, y, {f: 1})]), factored_sum([(1, y * y, {f: 2})]), "prs"),
+        (factored_sum([(1, x, {f: 1})]), factored_sum([(1, x * x, {f: 2})]), None),
     ):
         H = _two_alphabet_series([{((1,), ()): c, ((), (1,)): c}, {((1,), (1,)): cc}])
-        before = dict(plethysm._PATHS)
+        before = gcd_path_counts()
         L = log_series(H)
         E = exp_series(L)
-        assert plethysm._PATHS[path] == before[path] + 2
+        after = gcd_path_counts()
+        if path is None:
+            assert after == before
+        else:
+            assert after[path] > before[path]
         want = reference_log(H)
         assert L == want and repr(L) == repr(want)
         assert E == reference_exp(L) == H
@@ -324,19 +329,18 @@ def test_log_and_exp_make_one_product_per_newton_term(monkeypatch):
 
 def test_orbit_products_make_fewer_coefficient_products(monkeypatch):
     # four alphabets: computing one key per orbit multiplies fewer
-    # coefficient terms than the loops over every key, for the same Log
-    # and Exp, on coeffring splits
+    # coefficients than the loops over every key, for the same Log and Exp
     count = [0]
-    mul = coeffring._factored_product
+    mul = RationalFunction.__mul__
 
-    def counting(x, y):
+    def counting(self, other):
         count[0] += 1
-        return mul(x, y)
+        return mul(self, other)
 
     H = cauchy_series(0, 4, 3)
     assert orbit_filter(H) is sorted_key
     assert orbit_filter(log_cauchy_series(0, 4, 3)) is sorted_key
-    monkeypatch.setattr(coeffring, "_factored_product", counting)
+    monkeypatch.setattr(RationalFunction, "__mul__", counting)
 
     def log_and_exp():
         count[0] = 0
