@@ -428,7 +428,8 @@ def run_suite(suite, max_n=None, writer=print):
 
     After each criterion that runs, writes a line 'TIME  [n:label] x.xs'
     with its wall time, then 'GCD  [n:label] trivial=.. univariate=..
-    bivariate=.. prs=..' with the paths of the gcds it took, then
+    bivariate=.. prs=..' with the gcds it took, by the number of
+    indeterminates (coeffring.gcd_path_counts), then
     'SPLIT  [n:label] divided=.. failed=.. skipped=..' with the trial
     divisions of coeffring.split_factors it made and the factors
     coeffring.factored_sum left untried. Arithmetic on coefficients that

@@ -1,4 +1,3 @@
-import itertools
 import random
 import sys
 from fractions import Fraction
@@ -16,7 +15,6 @@ from qtsym.coeffring import (
     P_ONE,
     RationalFunction,
     _gcd_prs,
-    _interpolate_rows,
     binomial_factors,
     factored_sum,
     gcd_cofactors,
@@ -274,6 +272,109 @@ def _divexact_split(p, factors):
     return p, mult
 
 
+def _split(p, factors):
+    """split_factors(p, factors), or _divexact_split beyond the two
+    indeterminates split_factors takes."""
+    names = set(p.canonical().vars).union(*(f.canonical().vars for f, _ in factors))
+    return (split_factors if len(names) <= 2 else _divexact_split)(p, factors)
+
+
+def _factor_over(p, factors):
+    """(c, {f: k}) with p = c * prod f^k, c a constant, by trial division
+    by the distinct irreducible factors; p must have no other factor."""
+    cofactor, mult = _split(p, [(f, p.total_degree()) for f in factors])
+    assert cofactor.is_constant(), (p, cofactor)
+    return cofactor.constant_value(), mult
+
+
+def _power_of(mult):
+    """prod f^m over the items of mult."""
+    out = P_ONE
+    for f, m in mult.items():
+        out = out * f**m
+    return out
+
+
+def _reduced(num, mult):
+    """num / prod f^m over the items of mult, reduced by trial division
+    with no gcd: the f are distinct irreducible polynomials, primitive
+    with positive leading coefficient, so once those that divide num are
+    divided out, their product is the canonical denominator. The result
+    carries no factors, so its operators take the gcd path."""
+    if num.is_zero():
+        return RationalFunction.const(0)
+    num, divided = _split(num, list(mult.items()))
+    c = RationalFunction(num)
+    return coeffring._make(c.scalar, c.prim, _power_of({f: m - divided.get(f, 0) for f, m in mult.items()}))
+
+
+def _frac(num, den, factors):
+    """RationalFunction(num, den) with no gcd, for den a rational constant
+    times powers of the irreducible factors."""
+    c, mult = _factor_over(den, factors)
+    return _reduced(num.scale(Fraction(1) / c), mult)
+
+
+def _over_lcm(parts, factors):
+    """(num, {f: m}): the sum of the RationalFunctions parts as num over
+    prod f^m, the lcm of their denominators, each factored over the
+    irreducible factors by trial division; no gcd and no reduction."""
+    splits = [(x, _factor_over(x.den, factors)) for x in parts]
+    lcm = {}
+    for _, (_, mult) in splits:
+        for f, m in mult.items():
+            lcm[f] = max(m, lcm.get(f, 0))
+    num = Polynomial.const(0)
+    for x, (c, mult) in splits:
+        num = num + x.num.scale(Fraction(1) / c) * _power_of({f: m - mult.get(f, 0) for f, m in lcm.items()})
+    return num, lcm
+
+
+def _assert_value(x, num, den):
+    """x equals num / den, by cross-multiplication of integer polynomials:
+    the contents of num and den are split off first."""
+    if num.is_zero():
+        assert x.is_zero(), x
+        return
+    r = Fraction(x.scalar) * den.content_signed() / num.content_signed()
+    assert (x.prim * den.primitive()).scale(r.numerator) == (num.primitive() * x.den).scale(r.denominator), (x, num, den)
+
+
+def _assert_reduced(x, factors):
+    """x is the reduced fraction of its value, checked with no gcd: it is
+    in canonical form, its denominator is a product of powers of the
+    irreducible factors, and none of those divides its numerator. With
+    its value, this fixes x and so its repr."""
+    _assert_canonical(x)
+    c, mult = _factor_over(x.den, factors)
+    assert c == 1, x
+    assert not _split(x.prim, [(f, 1) for f in mult])[1], x
+
+
+def _pair(c):
+    """The fraction c as (num, den), both with integer coefficients."""
+    s = Fraction(c.scalar)
+    return c.prim.scale(s.numerator), c.den.scale(s.denominator)
+
+
+def _padd(x, y):
+    if x[1] == y[1]:
+        return x[0] + y[0], x[1]
+    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+
+
+def _pmul(x, y):
+    return x[0] * y[0], x[1] * y[1]
+
+
+def _pneg(x):
+    return -x[0], x[1]
+
+
+def _padams(x, n):
+    return x[0].raise_exponents(n), x[1].raise_exponents(n)
+
+
 # Factors in q and t, and in q or t alone (such as t - 1 named over (q, t)).
 _BINOMIAL_FACTORS = sorted(
     {f for a in range(4) for b in range(4) if a or b for f in binomial_factors("q", a, "t", b)[1]},
@@ -436,17 +537,21 @@ def _factored_term(rng):
     for f, m in mult.items():
         den = den * f**m
     scalar = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
-    want = RationalFunction(num.scale(scalar), den)
+    want = _reduced(num.scale(scalar), mult)
     if want.den != den:
         return None
     return (want.scalar, want.prim, mult), want
 
 
 def _check_factored_sum(terms, parts):
+    """factored_sum(terms) is the sum of parts, reduced: the sum is put
+    over the lcm of the denominators, which factor over the factors the
+    terms carry, and compared by cross-multiplication."""
     got = factored_sum(terms)
-    want = sum(parts, RationalFunction.const(0))
-    assert got == want
-    assert repr(got) == repr(want)
+    factors = {f for _, _, mult in terms for f in mult}
+    num, lcm = _over_lcm(parts, factors)
+    _assert_value(got, num, _power_of(lcm))
+    _assert_reduced(got, factors)
     return got
 
 
@@ -475,16 +580,18 @@ def test_factored_sum_matches_rational_addition():
     assert factored_sum([]).is_zero()
 
 
-def _check_carried(got, want, carried=True):
-    """got equals want in value, repr and canonical form, carries its
-    factors when carried and it is not a polynomial, and its carried
-    factors multiply out to its denominator."""
-    assert got == want and repr(got) == repr(want)
-    _assert_canonical(got)
+def _check_carried(got, want, carried=True, factors=()):
+    """got has the value num / den of the pair want, carries its factors
+    when carried and it is not a polynomial, and its carried factors
+    multiply out to its denominator; it is reduced over those, or over
+    the given factors when it carries none."""
+    _assert_value(got, *want)
     if carried and not got.is_polynomial():
         assert got._mult
     if got._mult is not None:
         assert coeffring._factor_product(got._mult, {}) == got.den
+        factors = got._mult
+    _assert_reduced(got, factors)
 
 
 def test_factored_products_and_adams_images_match_rational_arithmetic():
@@ -493,8 +600,9 @@ def test_factored_products_and_adams_images_match_rational_arithmetic():
     # reduced RationalFunction, carrying its denominator's factors. The
     # operators of RationalFunction and HookField run on those factors
     # when one operand carries them and the other carries them or is a
-    # polynomial, and agree with the same operators on operands that
-    # carry none, which reduce by gcds
+    # polynomial. Each result is checked against the textbook fraction
+    # arithmetic, unreduced, by cross-multiplication, and certified
+    # reduced by trial division, with no gcd
     rng = random.Random(20261020)
     s = rf(Polynomial.var("s"))
     for _ in range(150):
@@ -502,40 +610,45 @@ def test_factored_products_and_adams_images_match_rational_arithmetic():
         if not (x and y):
             continue
         n = rng.randint(2, 4)
+        xr, yr = x[1], y[1]
+        X, Y = _pair(xr), _pair(yr)
         for term, want in (
-            (coeffring._factored_product(x[0], y[0]), x[1] * y[1]),
-            (coeffring._factored_adams(n, x[0]), x[1].raise_exponents(n)),
+            (coeffring._factored_product(x[0], y[0]), _pmul(X, Y)),
+            (coeffring._factored_adams(n, x[0]), _padams(X, n)),
         ):
             _check_carried(factored_sum([term]), want)
         a, b = factored_sum([x[0]]), factored_sum([y[0]])
-        xr, yr = x[1], y[1]
-        assert a._mult is not None and xr._mult is None
+        assert a == xr and a._mult is not None and xr._mult is None
         poly = rf(yr.num)
         c = rf(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)))
+        P, C = _pair(poly), _pair(c)
         for got, want in (
-            (a + b, xr + yr),
-            (a - b, xr - yr),
-            (a * b, xr * yr),
-            (-a, -xr),
-            (a * c, xr * c),
-            (c * a, c * xr),
-            (a + poly, xr + poly),
-            (poly - a, poly - xr),
-            (a * poly, xr * poly),
-            (poly * a, poly * xr),
-            (a.raise_exponents(n), xr.raise_exponents(n)),
+            (a + b, _padd(X, Y)),
+            (a - b, _padd(X, _pneg(Y))),
+            (a * b, _pmul(X, Y)),
+            (-a, _pneg(X)),
+            (a * c, _pmul(X, C)),
+            (c * a, _pmul(C, X)),
+            (a + poly, _padd(X, P)),
+            (poly - a, _padd(P, _pneg(X))),
+            (a * poly, _pmul(X, P)),
+            (poly * a, _pmul(P, X)),
+            (a.raise_exponents(n), _padams(X, n)),
         ):
             _check_carried(got, want)
-        for got, want in (
-            (HookField(a, b) * HookField(b, poly), HookField(xr, yr) * HookField(yr, poly)),
-            (HookField(a) * HookField(poly, b), HookField(xr) * HookField(poly, yr)),
+        # (x + y eps)(y + p eps) = (xy + yp ZW) + (xp + y^2) eps
+        zw = (Z * W, P_ONE)
+        for got, (base, odd) in (
+            (HookField(a, b) * HookField(b, poly), (_padd(_pmul(X, Y), _pmul(_pmul(Y, P), zw)), _padd(_pmul(X, P), _pmul(Y, Y)))),
+            (HookField(a) * HookField(poly, b), (_pmul(X, P), _pmul(X, Y))),
         ):
-            _check_carried(got.base, want.base)
-            _check_carried(got.odd, want.odd)
+            _check_carried(got.base, base)
+            _check_carried(got.odd, odd)
         # beside a carried denominator in Z and W, a third indeterminate is
         # beyond split_factors: gcds reduce
-        for got, want in ((a * (s + poly), xr * (s + poly)), (a + s, xr + s)):
-            _check_carried(got, want, carried=False)
+        S = _pair(s)
+        for got, want in ((a * (s + poly), _pmul(X, _padd(S, P))), (a + s, _padd(X, S))):
+            _check_carried(got, want, carried=False, factors=a._mult)
             if not a.is_polynomial():
                 assert got._mult is None
 
@@ -566,12 +679,13 @@ def _factored_sum_cases(draw):
         den = P_ONE
         for f in draw(st.lists(st.sampled_from(_SUM_POOL), unique=True, max_size=3)):
             den = den * f ** draw(st.integers(1, 3))
-        parts.append(RationalFunction(draw(_zw_polys(("Z", "W"))).scale(draw(_fractions.filter(bool))), den))
+        parts.append(_frac(draw(_zw_polys(("Z", "W"))).scale(draw(_fractions.filter(bool))), den, _SUM_POOL))
     if draw(st.booleans()):
         den = P_ONE
         for f in draw(st.lists(st.sampled_from(_SUM_POOL), unique=True, max_size=2)):
             den = den * f
-        last = RationalFunction(draw(_zw_polys(("Z", "W"))), den) - sum(parts, RationalFunction.const(0))
+        target = _frac(draw(_zw_polys(("Z", "W"))), den, _SUM_POOL)
+        last = _reduced(*_over_lcm([target] + [-x for x in parts], _SUM_POOL))
         if not last.is_zero():
             parts.append(last)
     return [_pool_term(c) for c in parts], parts
@@ -582,7 +696,6 @@ def _factored_sum_cases(draw):
 def test_factored_sum_matches_rational_sums_over_shared_factors(case):
     terms, parts = case
     got = _check_factored_sum(terms, parts)
-    _assert_canonical(got)
     if not got.is_zero():
         assert coeffring._factor_product(got._mult, {}) == got.den
 
@@ -674,41 +787,6 @@ def test_eval_poly_matches_naive_substitution(case):
     assert p.eval_poly(assignment) == _naive_eval(p, assignment)
 
 
-def _from_rows(rows):
-    """sum over i, j of rows[i][j] * Z^i * W^j."""
-    return Polynomial(
-        ("Z", "W"), {(i, j): c for i, r in enumerate(rows) for j, c in enumerate(r)}
-    )
-
-
-def _horner(r, y0):
-    return sum(c * y0**j for j, c in enumerate(r))
-
-
-@st.composite
-def _interpolation_cases(draw):
-    rows = [draw(st.lists(st.integers(-5, 5), max_size=5)) for _ in range(draw(st.integers(1, 4)))]
-    rows[-1] = rows[-1] + [draw(st.integers(-5, 5).filter(bool))]
-    rows[draw(st.integers(0, len(rows) - 1))] = [draw(st.integers(-5, 5).filter(bool))]
-    n = max(map(len, rows))
-    points = draw(
-        st.lists(st.integers(-9, 9).filter(lambda p: _horner(rows[-1], p)),
-                 min_size=n, max_size=n + 2, unique=True)
-    )
-    return rows, points
-
-
-@settings(max_examples=100, deadline=None)
-@given(_interpolation_cases())
-def test_interpolate_rows_recovers_the_polynomial(case):
-    rows, points = case
-    # an image (g0, v) stands for g0 * v / lc(g0); v = lc(g0) makes it g0, the value at p
-    images = [([_horner(r, p) for r in rows], _horner(rows[-1], p)) for p in points]
-    got = _from_rows(_interpolate_rows(points, images))
-    # one row is a nonzero constant, so the rows have no content in W
-    assert got.primitive() == _from_rows(rows).primitive()
-
-
 _ZW_FACTORS = sorted(
     {f for a in range(4) for b in range(4) if a or b for f in binomial_factors("Z", a, "W", b)[1]},
     key=str,
@@ -730,8 +808,9 @@ def _zw_polys(draw, names):
 
 @st.composite
 def _gcd_cases(draw):
-    """a, b with a planted common factor: hook-binomial pieces times a
-    small random polynomial; b may lack one of the indeterminates."""
+    """(a, b, common): a and b with the planted common factor common,
+    hook-binomial pieces times a small random polynomial; b may lack one
+    of the indeterminates."""
     names_b = draw(st.sampled_from([("Z", "W"), ("Z",), ("W",)]))
     pieces = [f for f in _ZW_FACTORS if set(f.canonical().vars) <= set(names_b)]
     common = draw(_zw_polys(names_b))
@@ -739,55 +818,67 @@ def _gcd_cases(draw):
         common = common * f
     a = common * draw(_zw_polys(("Z", "W"))) * draw(_fractions.filter(bool))
     b = common * draw(_zw_polys(names_b))
-    return a, b
+    return a, b, common
 
 
 @settings(max_examples=150, deadline=None)
 @given(_gcd_cases())
-# coprime, but the image at Z = 2 is W + 1: the first candidate fails
-@example((1 - Z - W, (Z**2 - 1) * (W**2 - 1)))
-def test_gcd_matches_prs_route(case):
-    a, b = case
-    prs = gcd_path_counts()["prs"]
+# coprime, though 1 - Z - W meets Z^2 - 1 and W^2 - 1 at Z or W = +-1
+@example((1 - Z - W, (Z**2 - 1) * (W**2 - 1), P_ONE))
+def test_gcd_cofactors_keep_a_planted_factor(case):
+    a, b, common = case
     g, ca, cb = gcd_cofactors(a, b)
-    assert gcd_path_counts()["prs"] == prs
-    assert g == poly_gcd(a, b) == _gcd_prs(a.canonical(), b.canonical())
-    assert g == g.primitive() and g.leading()[1] > 0
+    g.divexact(common.primitive())  # raises unless the planted factor divides g
     assert g * ca == a and g * cb == b
+    assert all(type(c) is int for c in g.terms.values())
+    assert g == g.primitive() and g.leading()[1] > 0
 
 
-def test_hook_binomial_gcd_takes_no_prs_fallback():
-    # every image at Z = +-1 is W^2 - 1, yet the gcd is 1
+@st.composite
+def _univariate_gcd_cases(draw):
+    """a, b in one indeterminate with a planted common factor, as in
+    _gcd_cases, each with a leading coefficient of either sign."""
+    name = draw(st.sampled_from(["Z", "W"]))
+    common = draw(_zw_polys((name,)))
+    for f in draw(st.lists(st.sampled_from([f for f in _ZW_FACTORS if f.canonical().vars == (name,)]), min_size=1, max_size=2)):
+        common = common * f
+    return tuple(common * draw(_zw_polys((name,))) * draw(_fractions.filter(bool)) for _ in "ab")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_univariate_gcd_cases())
+@example((Z**2 - 1, -(Z**2) - Z))
+def test_univariate_gcd_matches_the_polynomial_prs(case):
+    # the univariate gcd runs the primitive PRS on integer lists; the
+    # polynomial PRS, called directly, must find the same primitive gcd
+    a, b = case
+    before = gcd_path_counts()
+    g, ca, cb = gcd_cofactors(a, b)
+    after = gcd_path_counts()
+    if a.is_constant() or b.is_constant() or a == b:
+        return
+    assert after["univariate"] == before["univariate"] + 1
+    assert g == _gcd_prs(a.canonical(), b.canonical())
+    assert g.leading()[1] > 0 and g * ca == a and g * cb == b
+
+
+def test_hook_binomial_gcds_are_one():
+    # gcd((ZW)^2 - 1, W^2 - 1) = 1, though both vanish wherever Z = +-1
+    # and W = +-1; the path is named by the number of indeterminates
+    s = Polynomial.var("s")
     before = gcd_path_counts()
     assert poly_gcd((Z * W) ** 2 - 1, W**2 - 1) == P_ONE
+    assert poly_gcd(1 - Z - W, (Z**2 - 1) * (W**2 - 1)) == P_ONE
+    assert poly_gcd(Z**4 - 1, -(Z**6) + 1) == Z**2 - 1
+    assert poly_gcd(s * (Z - W), s * (Z + W)) == s
     after = gcd_path_counts()
-    assert after["prs"] == before["prs"]
-    assert after["bivariate"] == before["bivariate"] + 1
-
-
-def test_bivariate_gcd_certifies_after_a_run_of_unlucky_points(monkeypatch):
-    # W is the interpolation variable here; with c = (W-2)(W-3)(W-5), the
-    # images at W = 2, 3, 5 gain the common factor Z, so the first
-    # candidate fails and then W = 5 is skipped
-    g = Z + W + 1
-    a, b = g * Z, g * (Z - (W - 2) * (W - 3) * (W - 5))
-    usual = coeffring._sample_points
-    monkeypatch.setattr(coeffring, "_sample_points", lambda: itertools.chain((2, 3, 5), usual()))
-    before = gcd_path_counts()
-    got, ca, cb = gcd_cofactors(a, b)
-    assert gcd_path_counts()["prs"] == before["prs"]
-    assert got == g == _gcd_prs(a.canonical(), b.canonical())
-    assert (ca, cb) == (Z, Z - (W - 2) * (W - 3) * (W - 5))
-    # no lucky point: the budget the degrees give is reached, and that raises
-    monkeypatch.setattr(coeffring, "_sample_points", lambda: itertools.chain((2, 3), itertools.repeat(5)))
-    with pytest.raises(ArithmeticError, match="no gcd certified"):
-        gcd_cofactors(a, b)
+    assert {k: after[k] - before[k] for k in after} == {"trivial": 0, "univariate": 1, "bivariate": 2, "prs": 1}
 
 
 @st.composite
 def _rf_operands(draw):
-    """Two reduced fractions x, y built by the constructor, with
-    denominators multiplied from hook-binomial pieces so that
+    """Two reduced fractions x, y, as the constructor makes them but
+    reduced by trial division (_frac), with denominators multiplied from hook-binomial pieces so that
     gcd(x.den, y.den) is often not 1; some pairs have equal denominators,
     denominator 1, a zero sum, or a sum whose numerator cancels against
     that gcd."""
@@ -803,35 +894,49 @@ def _rf_operands(draw):
 
     pieces = st.lists(st.sampled_from(_ZW_FACTORS), max_size=3)
     shared = draw(pieces)
-    x = RationalFunction(numerator(), denominator(shared + draw(pieces)))
+    x = _frac(numerator(), denominator(shared + draw(pieces)), _ZW_FACTORS)
     kind = draw(st.sampled_from(["shared", "equal", "one", "zero", "cancel"]))
     if kind == "shared":
-        y = RationalFunction(numerator(), denominator(shared + draw(pieces)))
+        y = _frac(numerator(), denominator(shared + draw(pieces)), _ZW_FACTORS)
     elif kind == "equal":
-        y = RationalFunction(numerator(), x.den)
+        y = _frac(numerator(), x.den, _ZW_FACTORS)
     elif kind == "one":
         y = RationalFunction(numerator())
     elif kind == "zero":
-        y = RationalFunction(-x.num, x.den)
+        y = _frac(-x.num, x.den, _ZW_FACTORS)
     else:
         # y = z - x, so the numerator of x + y cancels against gcd(x.den, y.den)
-        z = RationalFunction(numerator(), denominator(shared + draw(pieces)))
-        y = RationalFunction(z.num * x.den - x.num * z.den, z.den * x.den)
+        z = _frac(numerator(), denominator(shared + draw(pieces)), _ZW_FACTORS)
+        y = _frac(z.num * x.den - x.num * z.den, z.den * x.den, _ZW_FACTORS)
     return (x, y) if draw(st.booleans()) else (y, x)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_rf_operands())
 def test_rf_add_and_mul_match_the_reduced_reference(case):
+    # the operands carry no factors, so + and * reduce by gcds; the
+    # results are checked against the unreduced textbook fractions by
+    # cross-multiplication and certified reduced by trial division
     x, y = case
-    for got, want in (
-        (x + y, RationalFunction(x.num * y.den + y.num * x.den, x.den * y.den)),
-        (x * y, RationalFunction(x.num * y.num, x.den * y.den)),
+    for got, (num, den) in (
+        (x + y, (x.num * y.den + y.num * x.den, x.den * y.den)),
+        (x * y, (x.num * y.num, x.den * y.den)),
     ):
-        assert got == want
-        assert repr(got) == repr(want)
-        # the denominator has content 1 and a positive leading coefficient
-        assert got.den.content_signed() == 1
+        _assert_value(got, num, den)
+        _assert_reduced(got, _ZW_FACTORS)
+
+
+def test_the_reducedness_check_rejects_an_unreduced_fraction():
+    # (Z - 1)(Z + W) / ((Z - 1)(W - 1)) has canonical parts and the value
+    # (Z + W) / (W - 1), so only the trial division can reject it
+    f = Z - 1
+    x = coeffring._make(1, f * (Z + W), f * (W - 1))
+    _assert_value(x, Z + W, W - 1)
+    _assert_canonical(x)
+    with pytest.raises(AssertionError):
+        _assert_reduced(x, _ZW_FACTORS)
+    with pytest.raises(AssertionError):
+        _check_carried(x, (Z + W, W - 1), carried=False, factors=_ZW_FACTORS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -877,19 +982,6 @@ def _assert_canonical(x):
         assert p.content_signed() == 1, x
 
 
-def _ref_reduce(num, den):
-    """num / den reduced the plain way: Fraction-coefficient polynomials,
-    divided by their gcd from the primitive PRS, the denominator made
-    primitive with a positive leading coefficient."""
-    if num.is_zero():
-        return Polynomial.const(0), P_ONE
-    if not num.is_constant() and not den.is_constant():
-        g = _gcd_prs(num.canonical(), den.canonical())
-        num, den = num.divexact(g), den.divexact(g)
-    c = den.content_signed()
-    return num.scale(Fraction(1) / c), den.scale(Fraction(1) / c)
-
-
 def _ref_text(num, den):
     if den.is_constant():
         return str(num)
@@ -897,16 +989,6 @@ def _ref_text(num, den):
     if len(num.terms) > 1:
         text = "(%s)" % text
     return "%s/(%s)" % (text, den)
-
-
-def _ref_add(a, b):
-    if a[1] == b[1]:
-        return _ref_reduce(a[0] + b[0], a[1])
-    return _ref_reduce(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
-
-
-def _ref_mul(a, b):
-    return _ref_reduce(a[0] * b[0], a[1] * b[1])
 
 
 _QT_FACTORS = [f.rename({"Z": "q", "W": "t"}) for f in _ZW_FACTORS]
@@ -965,8 +1047,8 @@ def test_rf_arithmetic_matches_plain_fraction_arithmetic(case, k):
     checks = [
         (x, a),
         (y, b),
-        (x + y, _ref_add(a, b)),
-        (x * y, _ref_mul(a, b)),
+        (x + y, _padd(a, b)),
+        (x * y, _pmul(a, b)),
         (-x, (-a[0], a[1])),
         (x.raise_exponents(k), (a[0].raise_exponents(k), a[1].raise_exponents(k))),
         (x.rename(swap), (a[0].rename(swap), a[1].rename(swap))),
@@ -977,13 +1059,17 @@ def test_rf_arithmetic_matches_plain_fraction_arithmetic(case, k):
         # (x + eps/2)(1 + y eps) = (x + y ZW/2) + (xy + 1/2) eps
         h = HookField(x, Fraction(1, 2)) * HookField(1, y)
         half = (Polynomial.const(Fraction(1, 2)), P_ONE)
-        checks.append((h.base, _ref_add(a, _ref_mul(_ref_mul(b, (Z * W, P_ONE)), half))))
-        checks.append((h.odd, _ref_add(_ref_mul(a, b), half)))
+        checks.append((h.base, _padd(a, _pmul(_pmul(b, (Z * W, P_ONE)), half))))
+        checks.append((h.odd, _padd(_pmul(a, b), half)))
+    # each result has the value of the unreduced plain fraction, by
+    # cross-multiplication, and is reduced: canonical, with a numerator
+    # and denominator that the primitive PRS finds coprime
     for got, (num, den) in checks:
+        _assert_value(got, num, den)
         _assert_canonical(got)
-        num, den = _ref_reduce(num, den)
-        assert got.num == num and got.den == den
-        assert repr(got) == "RationalFunction(%s)" % _ref_text(num, den)
+        if not got.prim.is_constant() and not got.den.is_constant():
+            assert _gcd_prs(got.prim.canonical(), got.den.canonical()) == P_ONE, got
+        assert repr(got) == "RationalFunction(%s)" % _ref_text(got.num, got.den)
 
 
 def test_eval_poly_renaming_and_kept_variables():

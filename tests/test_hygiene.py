@@ -1,7 +1,8 @@
 """Source hygiene, by stdlib ast scans of src/qtsym and tests (package
 re-exports in __init__.py are exempt): no module imports a name it never
 uses, no function assigns a name it never reads, every name the package
-exports is used somewhere in src/qtsym, tests or demos, only coeffring
+exports is used somewhere in src/qtsym, tests or demos, every private
+module-level function and class is used by the package itself, only coeffring
 divides or takes gcds of polynomials, and only the MacdonaldTable
 constructor checks the characterization of H~."""
 
@@ -56,9 +57,9 @@ def test_no_unused_imports(path):
 
 
 def referenced_names(source):
-    """Names source reads (as a name, an attribute, an imported name or a
-    part of an imported module path), leaving out what a definition's own
-    body says of its name."""
+    """Names source, a text or an ast node, reads (as a name, an
+    attribute, an imported name or a part of an imported module path),
+    leaving out what a definition's own body says of its name."""
     found = set()
 
     def visit(node, inside):
@@ -77,7 +78,7 @@ def referenced_names(source):
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
-    visit(ast.parse(source), frozenset())
+    visit(ast.parse(source) if isinstance(source, str) else source, frozenset())
     return found
 
 
@@ -87,6 +88,29 @@ def unreferenced(names, sources):
     for source in sources:
         found |= referenced_names(source)
     return sorted(set(names) - found)
+
+
+def dead_private_definitions(sources):
+    """The private (one leading underscore) module-level functions and
+    classes of sources that no live code references. Every statement
+    outside such a definition is live, and so is the body of each one
+    live code references, to a fixpoint: a helper that only dead helpers
+    use is dead too."""
+    bodies, live = {}, set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            private = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and (
+                node.name.startswith("_") and not node.name.startswith("__")
+            )
+            if private:
+                bodies.setdefault(node.name, set()).update(referenced_names(node))
+            else:
+                live |= referenced_names(node)
+    reached, frontier = set(), live & set(bodies)
+    while frontier:
+        reached |= frontier
+        frontier = set().union(*(bodies[name] for name in frontier)) & set(bodies) - reached
+    return sorted(set(bodies) - reached)
 
 
 def unread_assignments(source):
@@ -119,6 +143,21 @@ def test_scan_flags_an_unreferenced_export():
 def test_exports_are_referenced():
     sources = [p.read_text() for p in SOURCES + DEMOS]
     assert unreferenced(qtsym.__all__, sources) == []
+
+
+def test_scan_flags_dead_private_definitions():
+    sources = [
+        "def f():\n    return _a()\n@_deco\ndef _a():\n    return _a()\n"
+        "def _b():\n    return _c()\ndef _c():\n    return _b()\nclass _D:\n    pass\n",
+        "from m import _e\ndef _deco(g):\n    return g\n",
+    ]
+    assert dead_private_definitions(sources) == ["_D", "_b", "_c"]
+
+
+def test_no_dead_private_definitions():
+    # a module-level private helper that only tests, or only other dead
+    # helpers, use is dead code in the package
+    assert dead_private_definitions([p.read_text() for p in PACKAGE]) == []
 
 
 def test_scan_flags_an_unread_assignment():

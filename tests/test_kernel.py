@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from qtsym.coeffring import HookField, Polynomial, RationalFunction, gcd_path_counts, rf
+from qtsym import coeffring
+from qtsym.coeffring import HookField, Polynomial, RationalFunction, gcd_path_counts, rf, split_factors
 from qtsym.kernel import (
     _log_component,
     cauchy_series,
@@ -238,20 +239,27 @@ def test_higher_genus_cauchy_series_matches_dense_definition(n, genus, points):
 
 
 def test_hook_factor_matches_the_cell_product():
-    # the weight built in rational and hook-field arithmetic, cell by cell
+    # the weight is the numerator built cell by cell in hook-field
+    # arithmetic over polynomials, over the norm: each part equals it by
+    # cross-multiplication, and is reduced in canonical form, since no
+    # factor it carries divides its numerator (checked with no gcd)
     ren = {"q": "Z", "t": "W"}
     for d in range(1, 5):
         for lam in partitions_of(d):
-            inv_norm = rf(norm_product(lam).rename(ren)).inverse()
-            assert hook_factor(lam, 0) == inv_norm
+            norm = norm_product(lam).rename(ren)
+            assert hook_factor(lam, 0) == rf(norm).inverse()
             for genus in (1, 2, 3):
                 num = HookField(rf(1))
                 for (i, j) in lam.cells():
                     a, l = lam.arm(i, j), lam.leg(i, j)
                     num = num * HookField(rf(Z ** (2 * a + 1) + W ** (2 * l + 1)), rf(-2 * Z**a * W**l)) ** genus
                 got = hook_factor(lam, genus)
-                want = num * inv_norm
-                assert got == want and repr(got) == repr(want), (lam, genus)
+                for part, want in ((got.base, num.base), (got.odd, num.odd)):
+                    assert part.num * norm == want.num * part.den, (lam, genus)
+                    for p in (part.prim, part.den):
+                        assert all(type(c) is int for c in p.terms.values()) and p.content_signed() == 1
+                    assert coeffring._factor_product(part._mult, {}) == part.den
+                    assert not split_factors(part.prim, [(f, 1) for f in part._mult])[1], (lam, genus)
 
 
 def test_cauchy_components_are_shared_across_caps_and_cleared():

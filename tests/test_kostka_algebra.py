@@ -1,9 +1,10 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import pytest
 
-from qtsym.coeffring import Polynomial, rf
+from qtsym.coeffring import Polynomial, _make, rf, split_factors
 from qtsym.kostka_algebra import (
     delta_sharp,
     garsia_haiman_sum,
@@ -21,6 +22,7 @@ from qtsym.macdonald import (
     build_table,
     clear_tables,
     expansions_from_kostka,
+    norm_factors,
     register_table,
 )
 from qtsym.partitions import Partition, partitions_of
@@ -282,76 +284,177 @@ def test_structure_coefficients_use_a_passed_table():
     assert structure_coefficients_all(factors) == memo
 
 
-# Plain RationalFunction references for every routine that sums over the
-# Macdonald basis: each term is added with its own gcd, as the textbook
-# formulas read.
+# Textbook references for every routine that sums over the Macdonald
+# basis, in fraction arithmetic with no gcd and no reduction: a value is
+# a triple (s, num, mult) standing for s * num / prod f^m over the items
+# of mult, s rational, num an integer polynomial and the f distinct
+# irreducible polynomials of a pool, the norm factors at degree n and the
+# denominators of the operands' coefficients. Sums go over the lcm of
+# the denominators, which the multiplicities give, so no gcd is needed;
+# _check compares a result by cross-multiplication and certifies it
+# reduced by trial division.
 
 
-def _ref_macdonald_expansion(G, table):
+def _pool(n):
+    """The irreducible factors the denominators at degree n split over."""
+    factors = {f for eta in partitions_of(n) for f, _ in norm_factors(eta)[1]}
+    return factors | {q - t, q * t + 1}
+
+
+def _fr(c, pool):
+    """The RationalFunction c as a triple, its denominator split over the pool."""
+    unit, mult = split_factors(c.den, [(f, c.den.total_degree()) for f in pool])
+    assert unit == 1, c
+    return c.scalar, c.prim, mult
+
+
+def _fpoly(p):
+    """The polynomial p (a RationalFunction over 1) as a triple."""
+    return _fr(p, ())
+
+
+_FZERO = (0, Polynomial.const(0), {})
+
+
+def _fmul(x, y):
+    mult = dict(x[2])
+    for f, m in y[2].items():
+        mult[f] = mult.get(f, 0) + m
+    return x[0] * y[0], x[1] * y[1], mult
+
+
+def _fadd(x, y):
+    if not x[0]:
+        return y
+    if not y[0]:
+        return x
+    lcm = dict(x[2])
+    for f, m in y[2].items():
+        lcm[f] = max(m, lcm.get(f, 0))
+    s = Fraction(1, x[0].denominator * y[0].denominator)
+    num = Polynomial.const(0)
+    for c, p, mult in (x, y):
+        num = num + (p * _power({f: m - mult.get(f, 0) for f, m in lcm.items()})).scale(int(c / s))
+    return (s if num else 0), num, lcm
+
+
+def _fsum(values):
+    out = _FZERO
+    for x in values:
+        out = _fadd(out, x)
+    return out
+
+
+def _power(mult):
+    return _power_product(frozenset((f, m) for f, m in mult.items() if m))
+
+
+@lru_cache(maxsize=None)
+def _power_product(powers):
+    out = Polynomial.const(1)
+    for f, m in powers:
+        out = out * f**m
+    return out
+
+
+def _check(got, want, pool):
+    """got has the value of the triple want, by cross-multiplication,
+    prim and den are primitive integer polynomials with positive leading
+    coefficient, den splits over the pool, and none of its factors
+    divides prim: so got is the reduced fraction of that value, and its
+    repr is the one plain reduced arithmetic gives."""
+    s, num, mult = want
+    if not s or not num:
+        assert got.is_zero(), got
+        return
+    r = Fraction(got.scalar) / s
+    assert (got.prim * _power(mult)).scale(r.numerator) == (num * got.den).scale(r.denominator), (got, want)
+    for p in (got.prim, got.den):
+        assert all(type(c) is int for c in p.terms.values()) and p.content_signed() == 1, got
+    factors = _fr(got, pool)[2]
+    assert not split_factors(got.prim, [(f, 1) for f in factors])[1], got
+
+
+def _check_any(got, want, pool):
+    """_check on a RationalFunction, on each value of a dict, or on each
+    coefficient of a SymFunc against a dict of triples by key."""
+    if isinstance(got, SymFunc):
+        got = got.terms
+        want = {key: x for key, x in want.items() if x[0] and x[1]}
+    if isinstance(got, dict):
+        assert set(got) == set(want)
+        for key, c in got.items():
+            _check(c, want[key], pool)
+    else:
+        _check(got, want, pool)
+
+
+def _ref_macdonald_expansion(G, table, pool):
     out = {}
     for eta in table.partitions:
-        acc = rf(0)
-        for lam, g in expand1(G, "schur").items():
-            acc = acc + table.kostka_inverse_entry(eta, lam) * g
-        if not acc.is_zero():
+        acc = _fsum(
+            _fmul(_fr(table.kostka_inverse_entry(eta, lam), pool), _fr(g, pool))
+            for lam, g in expand1(G, "schur").items()
+        )
+        if acc[0]:
             out[eta] = acc
     return out
 
 
-def _ref_from_macdonald_expansion(coeffs, table, k=1):
-    out = SymFunc.zero(k)
+def _ref_from_macdonald_expansion(coeffs, table, pool, k=1):
+    out = {}
     for eta, c in coeffs.items():
         term = SymFunc.one(k)
         for j in range(k):
             term = term * table.htilde_sym(eta, j, k)
-        out = out + term * c
+        for key, v in term.terms.items():
+            out[key] = _fadd(out.get(key, _FZERO), _fmul(_fpoly(v), c))
     return out
 
 
-def _ref_dual_sum(weights, table):
-    out = {}
-    for lam in table.partitions:
-        acc = rf(0)
-        for eta, w in weights.items():
-            acc = acc + table.kostka_inverse_entry(eta, lam) * w
-        out[lam] = acc
-    return out
+def _ref_dual_sum(weights, table, pool):
+    return {
+        lam: _fsum(_fmul(_fr(table.kostka_inverse_entry(eta, lam), pool), w) for eta, w in weights.items())
+        for lam in table.partitions
+    }
 
 
-def _ref_structure_coefficients(factors, table):
+def _ref_structure_coefficients(factors, table, pool):
     weights = {}
     for eta in table.partitions:
-        weights[eta] = rf(1)
+        weights[eta] = _fpoly(rf(1))
         for mu in factors:
-            weights[eta] = weights[eta] * table.kostka_entry(mu, eta)
-    return _ref_dual_sum(weights, table)
+            weights[eta] = _fmul(weights[eta], _fpoly(table.kostka_entry(mu, eta)))
+    return _ref_dual_sum(weights, table, pool)
 
 
-def _ref_kostka_product(F, G, table):
+def _ref_kostka_product(F, G, table, pool):
     weights = {}
     for eta in table.partitions:
         H = table.htilde_sym(eta)
-        weights[eta] = hall_scalar(F, H) * hall_scalar(G, H)
-    out = SymFunc.zero(1)
-    for lam, c in _ref_dual_sum(weights, table).items():
-        out = out + s_elem(lam) * c
+        weights[eta] = _fmul(_fr(hall_scalar(F, H), pool), _fr(hall_scalar(G, H), pool))
+    out = {}
+    for lam, c in _ref_dual_sum(weights, table, pool).items():
+        for key, v in s_elem(lam).terms.items():
+            out[key] = _fadd(out.get(key, _FZERO), _fmul(_fpoly(v), c))
     return out
 
 
-def _ref_psi(F, G, table):
-    coeffs = _ref_macdonald_expansion(G, table)
-    eig = {eta: hall_scalar(F, table.htilde_sym(eta)) for eta in coeffs}
-    return _ref_from_macdonald_expansion({eta: c * eig[eta] for eta, c in coeffs.items()}, table)
+def _ref_psi(F, G, table, pool):
+    coeffs = _ref_macdonald_expansion(G, table, pool)
+    eig = {eta: _fr(hall_scalar(F, table.htilde_sym(eta)), pool) for eta in coeffs}
+    return _ref_from_macdonald_expansion({eta: _fmul(c, eig[eta]) for eta, c in coeffs.items()}, table, pool)
 
 
-def _ref_garsia_haiman_sum(n, table):
+def _ref_garsia_haiman_sum(n, table, pool):
     from qtsym.macdonald import corner_free_product, phi_weight
 
     weights = {
-        lam: rf(phi_weight(lam) * corner_free_product(lam)) / table.norm(lam)
+        lam: _fmul(_fpoly(rf(phi_weight(lam) * corner_free_product(lam))), _fr(table.norm(lam).inverse(), pool))
         for lam in table.partitions
     }
-    return _ref_from_macdonald_expansion(weights, table) * rf((q - 1) * (1 - t))
+    scale = _fpoly(rf((q - 1) * (1 - t)))
+    return {key: _fmul(c, scale) for key, c in _ref_from_macdonald_expansion(weights, table, pool).items()}
 
 
 _SHARED = rf(1) / rf(q - t)  # q - t divides the norms from degree 2 on
@@ -370,33 +473,53 @@ def _differential_cases(n):
     from qtsym.kostka_algebra import from_macdonald_expansion
 
     table = build_table(n)
+    pool = _pool(n)
     en = e_elem(P(n))
     for mu, nu in combinations_with_replacement(partitions_of(n), 2):
         yield ("structure_coefficients_all", structure_coefficients_all([mu, nu]),
-               _ref_structure_coefficients([mu, nu], table))
+               _ref_structure_coefficients([mu, nu], table, pool))
     for F, G in combinations_with_replacement(_operands(n), 2):
-        yield "kostka_product", kostka_product(F, G), _ref_kostka_product(F, G, table)
+        yield "kostka_product", kostka_product(F, G), _ref_kostka_product(F, G, table, pool)
     for F in _operands(n):
-        coeffs = _ref_macdonald_expansion(F, table)
-        yield "macdonald_expansion", macdonald_expansion(F), coeffs
-        yield ("from_macdonald_expansion", from_macdonald_expansion(coeffs),
-               _ref_from_macdonald_expansion(coeffs, table))
-        yield "delta_sharp", delta_sharp(F), _ref_from_macdonald_expansion(coeffs, table, 2)
-        yield "psi", psi(en, F), _ref_psi(en, F, table)
-        yield "psi", psi(F, F), _ref_psi(F, F, table)
-        nab = {eta: c * nabla_eigenvalue(eta) for eta, c in coeffs.items()}
-        yield "nabla", nabla(F), _ref_from_macdonald_expansion(nab, table)
+        coeffs = _ref_macdonald_expansion(F, table, pool)
+        got = macdonald_expansion(F)
+        yield "macdonald_expansion", got, coeffs
+        # the routines below read got, which equals coeffs by then
+        yield ("from_macdonald_expansion", from_macdonald_expansion(got),
+               _ref_from_macdonald_expansion(coeffs, table, pool))
+        yield "delta_sharp", delta_sharp(F), _ref_from_macdonald_expansion(coeffs, table, pool, 2)
+        yield "psi", psi(en, F), _ref_psi(en, F, table, pool)
+        yield "psi", psi(F, F), _ref_psi(F, F, table, pool)
+        nab = {eta: _fmul(c, _fpoly(nabla_eigenvalue(eta))) for eta, c in coeffs.items()}
+        yield "nabla", nabla(F), _ref_from_macdonald_expansion(nab, table, pool)
     weights = {eta: _FOREIGN / table.norm(eta) for eta in table.partitions}
     yield ("from_macdonald_expansion", from_macdonald_expansion(weights),
-           _ref_from_macdonald_expansion(weights, table))
-    yield "garsia_haiman_sum", garsia_haiman_sum(n), _ref_garsia_haiman_sum(n, table)
+           _ref_from_macdonald_expansion({eta: _fr(c, pool) for eta, c in weights.items()}, table, pool))
+    yield "garsia_haiman_sum", garsia_haiman_sum(n), _ref_garsia_haiman_sum(n, table, pool)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_macdonald_sums_match_plain_rational_arithmetic(n):
+    # each result equals its textbook sum by cross-multiplication and is
+    # in reduced canonical form, so its repr is the one plain reduced
+    # RationalFunction arithmetic gives
+    pool = _pool(n)
     for name, got, want in _differential_cases(n):
-        assert got == want, (name, n)
-        assert repr(got) == repr(want), (name, n)
+        try:
+            _check_any(got, want, pool)
+        except AssertionError as exc:
+            raise AssertionError((name, n)) from exc
+
+
+def test_the_reference_check_rejects_an_unreduced_fraction():
+    # (q - t)(q + t) / ((q - t)(qt + 1)) has canonical parts and the value
+    # (q + t) / (qt + 1), so only the trial division can reject it
+    x = _make(1, (q - t) * (q + t), (q - t) * (q * t + 1))
+    pool = _pool(2)
+    want = (1, q + t, {q * t + 1: 1})
+    _check(_make(1, q + t, q * t + 1), want, pool)
+    with pytest.raises(AssertionError):
+        _check(x, want, pool)
 
 
 def test_operands_with_rational_coefficients():
