@@ -73,9 +73,10 @@ polynomials coprime, so the Adams image of a reduced coefficient whose
 factors are all of that kind stays reduced and carries its factors.
 Negation and a constant factor keep them. Every other operand takes the
 gcd path above, after one attribute test, so the gcd path counts show
-any coefficient that falls back; polynomials need no gcd there. weighted_sum adds w * c over many pairs
-in one factored_sum, as the Hall pairing (symfunc.tensor_hall_scalar)
-does.
+any coefficient that falls back; polynomials need no gcd there.
+weighted_sum adds the w * c of the Hall pairing (symfunc.tensor_hall_scalar)
+as one integer combination per denominator D (integer_combination),
+reduced by the factors of D once, and one factored_sum of those sums.
 
 Values are immutable after construction and safe to share between
 threads; the gcd path and split counts are process-wide diagnostics.
@@ -1660,16 +1661,62 @@ def _factored_adams(n, x):
 
 def weighted_sum(pairs):
     """The sum of w * c over the (c, w) pairs, c a RationalFunction or a
-    HookField and w an int: one factored_sum when the c add on their
-    carried factors or are polynomials (_on_factors), part by part when a
-    HookField is among them, and by + otherwise."""
+    HookField and w an int: part by part with a HookField among them, by
+    one factored_sum of the sums of one denominator (_group_sum) when the
+    c carry their factors or are polynomials (_on_factors), else by +."""
     pairs = list(pairs)
     if any(isinstance(c, HookField) for c, _ in pairs):
         pairs = [(c if isinstance(c, HookField) else HookField(c), w) for c, w in pairs]
         return HookField(weighted_sum((c.base, w) for c, w in pairs), weighted_sum((c.odd, w) for c, w in pairs))
-    if _on_factors(c for c, _ in pairs):
-        return factored_sum(_term(c, w) for c, w in pairs)
-    return sum((c * w for c, w in pairs), RF_ZERO)
+    if not _on_factors(c for c, _ in pairs):
+        return sum((c * w for c, w in pairs), RF_ZERO)
+    groups = {}
+    for c, w in pairs:
+        groups.setdefault(c.den, []).append((c, w))
+    return factored_sum(_group_sum(group) for group in groups.values())
+
+
+def _group_sum(group):
+    """The sum of the (c, w) pairs of group, whose c share one reduced
+    denominator prod f^m, as a term of factored_sum: one integer
+    combination over the lcm d of the denominators of the w * c.scalar,
+    with each f divided out while it divides, at most m times."""
+    if len(group) == 1:
+        return _term(*group[0])
+    scalars = [c.scalar * w for c, w in group]
+    d = _int_lcm(*(s.denominator for s in scalars))
+    num = integer_combination((s.numerator * (d // s.denominator), c.prim) for s, (c, _) in zip(scalars, group))
+    if not num:
+        return 0, P_ZERO, {}
+    mult = group[0][0]._mult or {}
+    num, divided = split_factors(num, mult.items())
+    return _quo(1, d), num, _less(mult, divided)
+
+
+def integer_combination(pairs):
+    """The sum of w * p over the (w, p) pairs, p a Polynomial, added on
+    ints. Each w, and each w * c for a coefficient c of p, must be an
+    integer: one that is not raises ValueError, never truncated."""
+    groups = {}
+    for w, p in pairs:
+        if w.denominator != 1:
+            raise ValueError("weight %s is not an integer" % w)
+        w = w.numerator
+        if not w:
+            continue
+        acc = groups.setdefault(p.vars, {})
+        for e, c in p.terms.items():
+            if type(c) is int:
+                c *= w
+            else:
+                # c = a/b in lowest terms, so w*c is an integer iff b | w
+                quo, rem = divmod(w, c.denominator)
+                if rem:
+                    raise ValueError("weighted coefficient %s is not an integer" % (c * w))
+                c = c.numerator * quo
+            acc[e] = acc.get(e, 0) + c
+    parts = [Polynomial._raw(names, {e: c for e, c in acc.items() if c}) for names, acc in groups.items()]
+    return sum(parts[1:], parts[0]) if parts else P_ZERO
 
 
 # -- quadratic extension for the genus-g hook numerators ----------------------

@@ -266,18 +266,21 @@ def specialize_kernel(F, z_value, w_value, eps_value):
     return F.map_coefficients(spec)
 
 
+@lru_cache(maxsize=None)
 def poincare_point():
-    """(Z, W, eps) for Poincare polynomials: (0, v^2, 0)."""
+    """(Z, W, eps) for Poincare polynomials: (0, v^2, 0), built once."""
     return (rf(0), rf(_V**2), rf(0))
 
 
+@lru_cache(maxsize=None)
 def mixed_hodge_point():
-    """(Z, W, eps) = (q, t, -sqrt(qt)): valid only when eps parts vanish."""
+    """(Z, W, eps) = (q, t, -sqrt(qt)), built once; eps parts must vanish."""
     return (rf(_Qv), rf(_Tv), None)
 
 
+@lru_cache(maxsize=None)
 def q1_point():
-    """(Z, W, eps) = (1, v^2, -v)."""
+    """(Z, W, eps) = (1, v^2, -v), built once."""
     return (rf(1), rf(_V**2), rf(-_V))
 
 

@@ -47,10 +47,10 @@ from functools import cached_property, lru_cache
 from math import factorial
 
 from .coeffring import (
-    P_ZERO,
     Polynomial,
     RationalFunction,
     binomial_factors,
+    integer_combination,
     over_norm,
     rf,
 )
@@ -144,38 +144,10 @@ class MacdonaldTable:
 
 
 def class_sum(pairs, divisor=1):
-    """(sum of w * p over the (w, p) pairs) / divisor, summed on ints, as
-    a RationalFunction.
-
-    Each w * c, for a weight w and a coefficient c of its polynomial p,
-    must be an integer: one that is not raises ValueError, and is never
-    truncated. The divisor joins the content of the integer sum, which
-    becomes the rational scalar of the result.
-    """
-    groups = {}
-    for w, p in pairs:
-        if type(w) is not int:
-            if w.denominator != 1:
-                raise ValueError("class weight %s is not an integer" % w)
-            w = w.numerator
-        if not w:
-            continue
-        acc = groups.setdefault(p.vars, {})
-        for e, c in p.terms.items():
-            if type(c) is int:
-                c *= w
-            else:
-                # c = a/b in lowest terms, so w*c is an integer iff b | w
-                quo, rem = divmod(w, c.denominator)
-                if rem:
-                    raise ValueError("class-weighted coefficient %s is not an integer" % (c * w))
-                c = c.numerator * quo
-            acc[e] = acc.get(e, 0) + c
-    total = P_ZERO
-    for names, acc in groups.items():
-        part = Polynomial(names, acc)
-        total = part if total is P_ZERO else total + part
-    return RationalFunction(total, divisor)
+    """(sum of w * p over the (w, p) pairs) / divisor, a RationalFunction:
+    the sum runs on ints (coeffring.integer_combination, ValueError on a
+    w * c that is not an integer), and the divisor joins its content."""
+    return RationalFunction(integer_combination(pairs), divisor)
 
 
 def _class_weighted(n, coeffs):

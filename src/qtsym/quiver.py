@@ -46,8 +46,9 @@ from .symfunc import tensor_hall_scalar
 
 _T = Polynomial.var("t")
 _V = Polynomial.var("v")
-_Z = Polynomial.var("Z")
-_W = Polynomial.var("W")
+# the (Z, W, eps) point of c_from_trace and the (Z-1)(1-W) of c_from_log, built once
+_TRACE_POINT = (rf(0), rf(_T), rf(0))
+_ZW_SCALE = rf((Polynomial.var("Z") - 1) * (1 - Polynomial.var("W")))
 
 
 class OddDimension(ValueError):
@@ -317,7 +318,7 @@ def c_from_trace(mu, nu):
     """Column structure coefficient at q=0 via the twisted trace formula,
     as a polynomial in t."""
     n, factors = column_factors((mu, nu))
-    K = kernel(n, 0, 4, (rf(0), rf(_T), rf(0)))
+    K = kernel(n, 0, 4, _TRACE_POINT)
     val = _column_sign(n, tensor_hall_scalar(factors, K))
     return _as_polynomial_in(val, "t", error=ValueError) if not val.is_zero() else Polynomial.const(0)
 
@@ -329,7 +330,7 @@ def c_from_log(factors):
     """
     n, alphabets = column_factors(factors)
     comp = log_cauchy_series(0, len(alphabets), n).component(n)
-    val = tensor_hall_scalar(alphabets, comp) * rf((_Z - 1) * (1 - _W))
+    val = tensor_hall_scalar(alphabets, comp) * _ZW_SCALE
     return _column_sign(n, val.rename({"Z": "q", "W": "t"}))
 
 

@@ -487,11 +487,11 @@ def tensor_hall_scalar(factors, G):
     of G weighs the product of its one-alphabet integer weights; the
     weights are summed per distinct coefficient of G (equal coefficients
     merge), and the terms c * w are added in one coeffring.weighted_sum,
-    with no gcd, over the carried factors of their denominators for the
-    coefficients of the (Z, W) kernels and Log components and as
-    polynomials for a kernel specialized at the Poincare point; by + for
-    a specialized kernel whose coefficients keep a denominator. hall_scalar
-    of the multiplied-out product is the reference.
+    with no gcd: the coefficients of one denominator, a shared norm of a
+    (Z, W) kernel or Log component or 1 for a kernel specialized at the
+    Poincare point, are summed as one integer combination, and the sums
+    of distinct denominators by Henrici's rule on their carried factors.
+    hall_scalar of the multiplied-out product is the reference.
     """
     if len(factors) != G.k:
         raise ValueError("alphabet count mismatch")

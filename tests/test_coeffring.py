@@ -20,14 +20,16 @@ from qtsym.coeffring import (
     gcd_cofactors,
     gcd_path_counts,
     normalize_fraction,
+    over_norm,
     poly_gcd,
     rf,
     split_factors,
     split_over,
+    weighted_sum,
 )
 from qtsym.kernel import _htilde_splits, _norm_zw
 from qtsym.macdonald import build_table, norm_factors, norm_product
-from qtsym.partitions import partitions_of
+from qtsym.partitions import Partition, partitions_of
 
 q = Polynomial.var("q")
 t = Polynomial.var("t")
@@ -698,6 +700,87 @@ def test_factored_sum_matches_rational_sums_over_shared_factors(case):
     got = _check_factored_sum(terms, parts)
     if not got.is_zero():
         assert coeffring._factor_product(got._mult, {}) == got.den
+
+
+def _carried_copy(c):
+    """c with its own dict of carried factors: equal, but not the same dict."""
+    return coeffring._make(c.scalar, c.prim, c.den, None if c._mult is None else dict(c._mult))
+
+
+@st.composite
+def _weighted_sum_cases(draw):
+    """(c, w) pairs for weighted_sum, w a nonzero int. Each c is a
+    polynomial or a fraction over the (Z, W) norm of a partition of at
+    most 4 (over_norm), carrying its factors, with a Fraction scalar; two
+    c over one partition often share their denominator. A drawn case may
+    add: the negated copies of one group, so that the group cancels to
+    zero; two fractions over the norm of another partition whose sum one
+    of its factors divides; or HookField parts."""
+    lams = draw(st.lists(st.sampled_from(_ETAS), min_size=1, max_size=2, unique=True))
+
+    def coefficient(lam, num=None):
+        if num is None:
+            num = draw(_zw_polys(("Z", "W"))).scale(draw(_fractions.filter(bool)))
+        return rf(num) if lam is None else over_norm(rf(num), _norm_zw(lam))
+
+    weights = st.integers(-3, 3).filter(bool)
+    pairs = [(coefficient(draw(st.sampled_from(lams + [None]))), draw(weights)) for _ in range(draw(st.integers(1, 5)))]
+    kind = draw(st.sampled_from(["plain", "cancel", "divide", "hook"]))
+    if kind == "cancel":
+        den = pairs[0][0].den
+        pairs += [(_carried_copy(c), -w) for c, w in pairs if c.den == den]
+    elif kind == "divide":
+        lam = draw(st.sampled_from([eta for eta in _ETAS if eta not in lams]))
+        f = draw(st.sampled_from([f for f, _ in _norm_zw(lam)[1]]))
+        a, b = draw(_zw_polys(("Z", "W"))), draw(_zw_polys(("Z", "W")))
+        pairs += [(coefficient(lam, a), 1), (coefficient(lam, f * b - a), 1)]
+    elif kind == "hook":
+        pairs = [(HookField(c, pairs[-1 - i][0]) if i % 2 else c, w) for i, (c, w) in enumerate(pairs)]
+    return pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_weighted_sum_cases())
+def test_weighted_sum_matches_pairwise_rational_addition(pairs):
+    # weighted_sum adds each group of one denominator on integers and the
+    # groups by factored_sum; the result is == and repr-equal to the sum
+    # by + of the w * c, has the value of the unreduced sum over the lcm
+    # (cross-multiplication), and is reduced and carries its factors. A
+    # HookField sum is checked part by part
+    got = weighted_sum(pairs)
+    if any(isinstance(c, HookField) for c, _ in pairs):
+        hooks = [(c if isinstance(c, HookField) else HookField(c), w) for c, w in pairs]
+        checks = ((got.base, [(c.base, w) for c, w in hooks]), (got.odd, [(c.odd, w) for c, w in hooks]))
+    else:
+        checks = ((got, pairs),)
+    for part, part_pairs in checks:
+        pairwise = sum((c * w for c, w in part_pairs), coeffring.RF_ZERO)
+        assert part == pairwise and repr(part) == repr(pairwise)
+        terms = [coeffring._make(c.scalar * w, c.prim, c.den) for c, w in part_pairs]
+        num, lcm = _over_lcm(terms, _NORM_ZW_FACTORS)
+        _check_carried(part, (num, _power_of(lcm)))
+
+
+def test_weighted_sum_tries_each_factor_once_per_group():
+    # three fractions over the norm (Z-1)^2 (Z+1) (Z-W) (W-1) of (2), each
+    # with its own dict of factors, are one group: the sum is one integer
+    # combination over the lcm 6 of the scalars' denominators, and each
+    # factor is tried at most its multiplicity times. The sum
+    # (Z - 1)(Z + 1) / (6 norm) is reduced by the two factors that divide it
+    norm = _norm_zw(Partition((2,)))
+    nums = ((Z - 2, 2), (W, 3), (Z * Z - 3 * Z + 5 - 2 * W, 6))
+    pairs = [(over_norm(rf(n) * Fraction(1, k), norm), 1) for n, k in nums]
+    assert len({id(c._mult) for c, _ in pairs}) == 3 and len({c.den for c, _ in pairs}) == 1
+    before = coeffring.split_counts()
+    got = weighted_sum(pairs)
+    after = coeffring.split_counts()
+    want = rf(Z * Z - 1) / rf(_power_of(dict(norm[1])).scale(6 * norm[0]))
+    assert got == want and repr(got) == repr(want)
+    assert after["divided"] - before["divided"] == 2
+    assert after["divided"] + after["failed"] - before["divided"] - before["failed"] <= sum(m for _, m in norm[1])
+    _check_carried(got, (want.num, want.den))
+    # a group that cancels, beside a polynomial
+    assert weighted_sum([pairs[0], (_carried_copy(pairs[0][0]), -pairs[0][1]), (rf(Z), 3)]) == rf(Z * 3)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from qtsym.coeffring import Polynomial, gcd_path_counts, rf
-from qtsym.kernel import kernel, log_cauchy_series, poincare_point
+from qtsym.kernel import _kernel, kernel, log_cauchy_series, mixed_hodge_point, poincare_point, q1_point
 from qtsym.kostka_algebra import structure_coefficient
 from qtsym.macdonald import clear_tables
 from qtsym.partitions import Partition, partitions_of
@@ -165,6 +165,19 @@ def test_poincare_value_at_one_positive():
     spec = CometSpec(1, 2, (PunctureSpec.regular_semisimple(2),))
     val = poincare(spec).eval_fraction({"v": Fraction(1)})
     assert val > 0
+
+
+def test_evaluation_points_are_built_once():
+    # every point is one tuple, so a repeated poincare query finds its
+    # specialized kernel in the memo and adds no entry
+    for point in (poincare_point, mixed_hodge_point, q1_point):
+        assert point() is point()
+    spec = CometSpec(0, 2, (PunctureSpec.regular_semisimple(2),) * 4)
+    first = poincare(spec)
+    entries = _kernel.cache_info().currsize
+    for _ in range(3):
+        assert poincare(spec) == first
+    assert _kernel.cache_info().currsize == entries
 
 
 def test_twisted_poincare_identity_twist():
